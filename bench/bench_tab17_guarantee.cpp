@@ -27,8 +27,8 @@ int main() {
   std::printf("Empirical stress test (Clipping_0.1, p=1%%):\n");
   TablePrinter t({"l (patterns)", "RErr (%)", "std (%)"});
   for (int l : {5, 20, fast_mode() ? 40 : 100}) {
-    const RobustResult r =
-        robust_error(model, s.train_cfg.quant, data, cfg, l, 31000);
+    const RobustResult r = RobustnessEvaluator(model, s.train_cfg.quant)
+                               .run(RandomBitErrorModel(cfg, 31000), data, l);
     t.add_row({std::to_string(l), TablePrinter::fmt(100.0 * r.mean_rerr, 2),
                TablePrinter::fmt(100.0 * r.std_rerr, 2)});
   }

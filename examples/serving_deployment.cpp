@@ -97,12 +97,13 @@ int main() {
   }
   pool.drain();
   const ServingStats stats = pool.stats();
+  const obs::Histogram::Snapshot latency = pool.latency_histogram().snapshot();
   std::printf("served %ld requests on %zu replicas: served Err %.2f%%, "
               "mean batch %.1f, p50 %.0fus, p99 %.0fus\n\n",
               stats.requests, pool.size(),
               100.0 * (1.0 - static_cast<double>(correct) / n_requests),
-              stats.mean_batch_images, stats.p50_latency_us,
-              stats.p99_latency_us);
+              stats.mean_batch_images, latency.quantile(0.50),
+              latency.quantile(0.99));
 
   // 5. Degrade and recover: push one replica below the plan; the canary
   // trips and steps it back up the SAME swept fault list.

@@ -71,11 +71,12 @@ int main(int argc, char** argv) {
   const TrainStats stats = train(*model, train_set, test_set, tc);
   std::printf("clean Err %.2f%%\n", 100.0 * stats.final_test_err);
 
+  const RobustnessEvaluator evaluator(*model, tc.quant);
   for (double p : {0.001, 0.01}) {
     BitErrorConfig bits_cfg;
     bits_cfg.p = p;
     const RobustResult r =
-        robust_error(*model, tc.quant, test_set, bits_cfg, 5);
+        evaluator.run(RandomBitErrorModel(bits_cfg), test_set, 5);
     std::printf("RErr p=%.1f%%: %.2f%% +-%.2f\n", 100 * p, 100 * r.mean_rerr,
                 100 * r.std_rerr);
   }

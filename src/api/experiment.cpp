@@ -15,8 +15,6 @@
 #include "data/source.h"
 #include "data/store.h"
 #include "eval/metrics.h"
-#include "faults/profiled_chip_model.h"
-#include "faults/random_bit_error_model.h"
 #include "kernels/backend.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
@@ -301,35 +299,23 @@ Report Runner::run_robustness() {
       words_before = obs::registry().counter("faults.words_patched").value();
     }
 
-    if (!e.rate_grid.empty()) {
+    if (!e.rate_grid.empty() || !e.voltage_grid.empty()) {
+      // One persistent sweep serves both axes: a voltage grid is the rate
+      // grid the model's voltage curve maps it to.
       auto fault = make_fault_model(spec_.fault.model,
                                     resolved_fault_params(spec_, nullptr), ctx);
-      const auto* random = dynamic_cast<const RandomBitErrorModel*>(fault.get());
-      if (random == nullptr) {
-        throw std::invalid_argument(
-            "rate_grid sweeps need a RandomBitErrorModel-backed fault");
+      const bool by_voltage = !e.voltage_grid.empty();
+      const std::vector<double>& xs = by_voltage ? e.voltage_grid : e.rate_grid;
+      std::vector<double> rates = xs;
+      if (by_voltage) {
+        for (double& v : rates) v = fault->rate_at_voltage(v);
       }
-      mr.axis = "p";
+      mr.axis = by_voltage ? "v" : "p";
       mr.fault = fault->describe();
       const std::vector<RobustResult> sweep = evaluator->run_rate_sweep(
-          *random, e.rate_grid, *rm.eval_set, n, e.batch);
+          *fault, rates, *rm.eval_set, n, e.batch);
       for (std::size_t i = 0; i < sweep.size(); ++i) {
-        mr.points.push_back({e.rate_grid[i], sweep[i]});
-      }
-    } else if (!e.voltage_grid.empty()) {
-      auto fault = make_fault_model(spec_.fault.model,
-                                    resolved_fault_params(spec_, nullptr), ctx);
-      const auto* profiled = dynamic_cast<const ProfiledChipModel*>(fault.get());
-      if (profiled == nullptr) {
-        throw std::invalid_argument(
-            "voltage_grid sweeps need a ProfiledChipModel-backed fault");
-      }
-      mr.axis = "v";
-      mr.fault = fault->describe();
-      const std::vector<RobustResult> sweep = evaluator->run_voltage_sweep(
-          *profiled, e.voltage_grid, *rm.eval_set, n, e.batch);
-      for (std::size_t i = 0; i < sweep.size(); ++i) {
-        mr.points.push_back({e.voltage_grid[i], sweep[i]});
+        mr.points.push_back({xs[i], sweep[i]});
       }
     } else if (!e.grid.empty()) {
       mr.axis = e.grid.param;
@@ -397,24 +383,15 @@ Report Runner::run_serve() {
   auto fault = make_fault_model(spec_.fault.model,
                                 resolved_fault_params(spec_, nullptr), ctx);
 
+  {
+    BER_TRACE_SCOPE("runner", "plan");
+    s.plan = planner.plan(*fault, *rm.eval_set, sv.voltages, s.slo,
+                          sv.n_chips, spec_.eval.batch);
+  }
   std::vector<Replica> fleet;
-  if (const auto* random = dynamic_cast<const RandomBitErrorModel*>(fault.get())) {
-    {
-      BER_TRACE_SCOPE("runner", "plan");
-      s.plan = planner.plan(*random, *rm.eval_set, sv.voltages, s.slo,
-                            sv.n_chips, spec_.eval.batch);
-    }
+  {
     BER_TRACE_SCOPE("runner", "deploy_fleet");
-    fleet = planner.deploy_fleet(*random, s.plan, sv.replicas);
-  } else {
-    const auto& profiled = dynamic_cast<const ProfiledChipModel&>(*fault);
-    {
-      BER_TRACE_SCOPE("runner", "plan");
-      s.plan = planner.plan_profiled(profiled, *rm.eval_set, sv.voltages,
-                                     s.slo, sv.n_chips, spec_.eval.batch);
-    }
-    BER_TRACE_SCOPE("runner", "deploy_fleet");
-    fleet = planner.deploy_fleet_profiled(profiled, s.plan, sv.replicas);
+    fleet = planner.deploy_fleet(*fault, s.plan, sv.replicas);
   }
 
   const Dataset& canary_set = sv.canary_subset > 0

@@ -28,10 +28,6 @@
 #include "quant/quantizer.h"
 #include "train/trainer.h"
 
-namespace ber {
-class ProfiledChip;
-}
-
 namespace ber::api {
 
 // ---------------------------------------------------------------- Registry --
@@ -145,7 +141,6 @@ struct FaultContext {
   const QuantScheme* scheme = nullptr;  // its deployment scheme
   const NetSnapshot* layout = nullptr;  // quantized layout (flip validation)
   const Dataset* attack_set = nullptr;  // gradient source for attacks
-  const ProfiledChip* chip = nullptr;   // preprofiled chip to reuse, if any
   int n_trials = 0;                     // trials the evaluator will run
 };
 

@@ -152,9 +152,8 @@ std::size_t ProfiledChip::apply(NetSnapshot& snap, double v,
   return changed;
 }
 
-ChipFaultList ProfiledChip::fault_list(const NetSnapshot& layout, double v_min,
+ChipFaultList ProfiledChip::fault_list(const NetSnapshot& layout, double p_max,
                                        std::uint64_t offset) const {
-  const double p_max = model_rate_at(v_min);
   const std::uint64_t cells = static_cast<std::uint64_t>(num_cells());
   std::vector<std::vector<ChipFault>> per_tensor(layout.tensors.size());
   for (std::size_t t = 0; t < layout.tensors.size(); ++t) {

@@ -78,14 +78,15 @@ class ProfiledChip {
   std::size_t apply(NetSnapshot& snap, double v, std::uint64_t offset) const;
 
   // The chip's sparse fault pattern over `layout` under mapping `offset`,
-  // covering every voltage >= v_min. Each cell the mapping touches is
-  // recorded with its effective vulnerability u, so applying the list at
-  // rate model_rate_at(v) reproduces apply(snap, v, offset) bit-exactly for
-  // any v >= v_min — the profiled map is persistent in voltage (faulty cells
-  // at a higher voltage are a subset of those at a lower one), so ONE cell
-  // lookup sweep per mapping serves a whole voltage grid
-  // (RobustnessEvaluator::run_voltage_sweep).
-  ChipFaultList fault_list(const NetSnapshot& layout, double v_min,
+  // covering every rate up to p_max. Each cell the mapping touches with
+  // u < p_max is recorded with its effective vulnerability u, so applying
+  // the list at rate model_rate_at(v) reproduces apply(snap, v, offset)
+  // bit-exactly for any v with model_rate_at(v) <= p_max — the profiled map
+  // is persistent in voltage (faulty cells at a higher voltage are a subset
+  // of those at a lower one), so ONE cell lookup sweep per mapping, at the
+  // rate of the grid's lowest voltage, serves a whole voltage grid
+  // (RobustnessEvaluator::run_rate_sweep via ProfiledChipModel).
+  ChipFaultList fault_list(const NetSnapshot& layout, double p_max,
                            std::uint64_t offset) const;
 
  private:

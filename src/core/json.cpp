@@ -287,8 +287,7 @@ double Json::as_number() const {
 long Json::as_int() const {
   const double v = as_number();
   // 2^53: the largest magnitude below which every integer is exactly
-  // representable as a double (and the bound the metrics adapters use to
-  // decide a seed can ride a JSON parameter map losslessly).
+  // representable as a double.
   if (v != std::floor(v) || std::fabs(v) > 9007199254740992.0) {
     throw JsonError("json: expected integer, got " + dump());
   }

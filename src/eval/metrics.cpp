@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "api/registry.h"
-#include "attack/attacker.h"
-#include "faults/evaluator.h"
-#include "faults/linf_noise_model.h"
-#include "faults/random_bit_error_model.h"
 #include "quant/net_quantizer.h"
 #include "tensor/ops.h"
 
@@ -48,97 +43,6 @@ float test_error(Sequential& model, const Dataset& data,
   const float err = evaluate(model, data, batch).error;
   stash.restore(params);
   return err;
-}
-
-// The four robustness adapters below construct their FaultModel through the
-// api registry (name + parameter map) — the same path spec files take — so
-// the registry names and the C++ entry points provably agree, and all
-// evaluation runs through the one RobustnessEvaluator pipeline.
-//
-// One caveat: JSON numbers are doubles, so seeds above 2^53 cannot ride the
-// parameter map losslessly. These signatures accept full uint64 seeds, so
-// adapters fall back to direct construction for the (rare) seeds a spec
-// file could not express.
-
-namespace {
-
-constexpr std::uint64_t kMaxJsonSeed = 1ull << 53;
-
-}  // namespace
-
-RobustResult robust_error(Sequential& model, const QuantScheme& scheme,
-                          const Dataset& data, const BitErrorConfig& config,
-                          int n_chips, std::uint64_t seed_base, long batch) {
-  if (seed_base > kMaxJsonSeed) {
-    const RandomBitErrorModel fault(config, seed_base);
-    return RobustnessEvaluator(model, scheme).run(fault, data, n_chips, batch);
-  }
-  Json params = Json::object();
-  params.set("p", config.p);
-  params.set("flip_fraction", config.flip_fraction);
-  params.set("set1_fraction", config.set1_fraction);
-  params.set("set0_fraction", config.set0_fraction);
-  params.set("seed_base", seed_base);
-  const auto fault =
-      api::make_fault_model("random", params, api::FaultContext{});
-  return RobustnessEvaluator(model, scheme).run(*fault, data, n_chips, batch);
-}
-
-RobustResult robust_error_profiled(Sequential& model,
-                                   const QuantScheme& scheme,
-                                   const Dataset& data,
-                                   const ProfiledChip& chip, double v,
-                                   int n_offsets, long batch) {
-  Json params = Json::object();
-  params.set("voltage", v);
-  api::FaultContext ctx;
-  ctx.chip = &chip;  // reuse the caller's profiled map (no rebuild)
-  const auto fault = api::make_fault_model("profiled", params, ctx);
-  return RobustnessEvaluator(model, scheme).run(*fault, data, n_offsets, batch);
-}
-
-RobustResult adversarial_error(Sequential& model, const QuantScheme& scheme,
-                               const Dataset& data, const Dataset& attack_set,
-                               const AttackConfig& config, int n_trials,
-                               long batch) {
-  const RobustnessEvaluator evaluator(model, scheme);
-  if (config.seed > kMaxJsonSeed) {
-    BitFlipAttacker attacker(model, scheme, attack_set, config);
-    const AdversarialBitErrorModel fault =
-        make_adversarial_model(attacker, evaluator.snapshot(), n_trials);
-    return evaluator.run(fault, data, n_trials, batch);
-  }
-  Json params = Json::object();
-  params.set("budget", config.budget);
-  params.set("rounds", config.rounds);
-  params.set("schedule", config.schedule == BudgetSchedule::kGeometric
-                             ? "geometric"
-                             : "uniform");
-  params.set("attack_examples", config.attack_examples);
-  params.set("batch", config.batch);
-  params.set("seed", config.seed);
-  api::FaultContext ctx;
-  ctx.model = &model;
-  ctx.scheme = &scheme;
-  ctx.layout = &evaluator.snapshot();
-  ctx.attack_set = &attack_set;
-  ctx.n_trials = n_trials;
-  const auto fault = api::make_fault_model("adversarial", params, ctx);
-  return evaluator.run(*fault, data, n_trials, batch);
-}
-
-RobustResult linf_weight_noise_error(Sequential& model, const Dataset& data,
-                                     double rel_eps, int n_samples,
-                                     std::uint64_t seed_base, long batch) {
-  if (seed_base > kMaxJsonSeed) {
-    const LinfNoiseModel fault(rel_eps, seed_base);
-    return RobustnessEvaluator(model).run(fault, data, n_samples, batch);
-  }
-  Json params = Json::object();
-  params.set("rel_eps", rel_eps);
-  params.set("seed_base", seed_base);
-  const auto fault = api::make_fault_model("linf", params, api::FaultContext{});
-  return RobustnessEvaluator(model).run(*fault, data, n_samples, batch);
 }
 
 LogitStats logit_stats(Sequential& model, const Dataset& data, long batch) {

@@ -1,24 +1,10 @@
-// Evaluation metrics: clean test error (Err), robust test error under random
-// bit errors (RErr, mean ± std over chips), profiled-chip RErr, L-inf weight
-// noise robustness and logit/confidence statistics.
-//
-// The robustness entry points are thin adapters over the unified FaultModel
-// / RobustnessEvaluator pipeline (src/faults/), and construct their fault
-// models through the api registry by name ("random" / "profiled" /
-// "adversarial" / "linf" — src/api/registry.h), so these helpers and spec
-// files provably share one construction path. Use api::Experiment (or a
-// ber_run config file) for new scenarios, model reuse across sweeps, or
-// multi-rate evaluation.
+// Evaluation metrics: clean test error (Err) and logit/confidence
+// statistics. Robust error (RErr) under any fault scenario comes from
+// RobustnessEvaluator::run / run_rate_sweep (faults/evaluator.h) with a
+// FaultModel (random, profiled, adversarial, L-inf noise, ECC, ...).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "attack/attack_config.h"
-#include "biterror/injector.h"
-#include "biterror/profiled_chip.h"
 #include "data/dataset.h"
-#include "faults/evaluator.h"
 #include "nn/sequential.h"
 #include "quant/quantizer.h"
 
@@ -36,41 +22,6 @@ EvalResult evaluate(Sequential& model, const Dataset& data, long batch = 200);
 // quantize-dequantized for the evaluation and restored afterwards.
 float test_error(Sequential& model, const Dataset& data,
                  const QuantScheme* scheme = nullptr, long batch = 200);
-
-// RobustResult lives in faults/evaluator.h (re-exported here for callers).
-
-// RErr under the random bit error model: quantizes the model once, then for
-// each of `n_chips` seeds injects errors at rate `config.p` and evaluates.
-// Chips run in parallel on model clones; the input model is unchanged.
-RobustResult robust_error(Sequential& model, const QuantScheme& scheme,
-                          const Dataset& data, const BitErrorConfig& config,
-                          int n_chips, std::uint64_t seed_base = 1000,
-                          long batch = 200);
-
-// RErr against a profiled chip at normalized voltage `v`; averages over
-// `n_offsets` linear weight-to-memory mappings (Tab. 5 protocol).
-RobustResult robust_error_profiled(Sequential& model,
-                                   const QuantScheme& scheme,
-                                   const Dataset& data,
-                                   const ProfiledChip& chip, double v,
-                                   int n_offsets, long batch = 200);
-
-// RErr under gradient-guided adversarial bit flips (Stutz et al. 2021,
-// arXiv:2104.08323): trial t mounts an independent BitFlipAttacker run with
-// budget `config.budget`, its gradient batch subsampled from `attack_set`
-// with seed config.seed + t. Deterministic per (config, model) — rerunning
-// reproduces the flip sets bit-for-bit.
-RobustResult adversarial_error(Sequential& model, const QuantScheme& scheme,
-                               const Dataset& data, const Dataset& attack_set,
-                               const AttackConfig& config, int n_trials,
-                               long batch = 200);
-
-// RErr under i.i.d. uniform L-inf weight noise of magnitude
-// rel_eps * per-tensor weight range (Fig. 9). No quantization involved.
-RobustResult linf_weight_noise_error(Sequential& model, const Dataset& data,
-                                     double rel_eps, int n_samples,
-                                     std::uint64_t seed_base = 2000,
-                                     long batch = 200);
 
 struct LogitStats {
   float mean_max_logit = 0.0f;

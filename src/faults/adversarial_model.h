@@ -5,8 +5,8 @@
 // (src/attack/attacker.h), or drawn uniformly by random_flip_model() as the
 // budget-matched control. Trial t applies flip set t (modulo the number of
 // sets, so any n_trials is safe inside worker threads); applying a set is
-// pure XOR on the stored codes, so the existing RobustnessEvaluator, the
-// metrics adapters and the bench harness run adversarial sweeps unchanged.
+// pure XOR on the stored codes, so the existing RobustnessEvaluator and the
+// bench harness run adversarial sweeps unchanged.
 #pragma once
 
 #include <string>

@@ -7,8 +7,6 @@
 #include "core/parallel.h"
 #include "eval/metrics.h"
 #include "kernels/backend.h"
-#include "faults/profiled_chip_model.h"
-#include "faults/random_bit_error_model.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -155,10 +153,23 @@ RobustResult RobustnessEvaluator::run(const FaultModel& fault,
   return summarize(std::move(errs), confs);
 }
 
-std::vector<RobustResult> RobustnessEvaluator::run_grid_sweep(
-    std::size_t n_points, int n_trials, const Dataset& data, long batch,
-    const std::function<ChipFaultList(std::uint64_t)>& build_list,
-    const std::function<double(std::size_t)>& rate_of) const {
+std::vector<RobustResult> RobustnessEvaluator::run_rate_sweep(
+    const FaultModel& fault, const std::vector<double>& rates,
+    const Dataset& data, int n_trials, long batch) const {
+  if (!quantizer_) {
+    throw std::invalid_argument(
+        "RobustnessEvaluator::run_rate_sweep: needs a quantizing evaluator");
+  }
+  require_persistent(fault, "RobustnessEvaluator::run_rate_sweep");
+  if (rates.empty() || n_trials <= 0) return {};
+  double p_max = 0.0;
+  for (double p : rates) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("run_rate_sweep: rates must be in [0,1]");
+    }
+    p_max = std::max(p_max, p);
+  }
+  const std::size_t n_points = rates.size();
   std::vector<std::vector<float>> errs(n_points), confs(n_points);
   for (std::size_t r = 0; r < n_points; ++r) {
     errs[r].resize(static_cast<std::size_t>(n_trials));
@@ -172,8 +183,8 @@ std::vector<RobustResult> RobustnessEvaluator::run_grid_sweep(
                // One fault-list build per trial covers the whole grid; each
                // point keeps the subset of faults with u below its rate
                // (persistence).
-               const ChipFaultList faults =
-                   build_list(static_cast<std::uint64_t>(trial));
+               const ChipFaultList faults = fault.fault_list(
+                   base_snap_, static_cast<std::uint64_t>(trial), p_max);
                em.fault_lists.add(1);
                const std::vector<ParamSlot> slots = param_slots(clone);
                for (std::size_t r = 0; r < n_points; ++r) {
@@ -187,7 +198,7 @@ std::vector<RobustResult> RobustnessEvaluator::run_grid_sweep(
                  {
                    const obs::ForensicsTrialScope fscope(token,
                                                          forensics_profile_);
-                   em.words_patched.add(faults.apply(snap, rate_of(r)));
+                   em.words_patched.add(faults.apply(snap, rates[r]));
                  }
                  deploy_snapshot(snap, slots, on_codes_);
                  if (forensics_ != nullptr && forensics_->probes_ready()) {
@@ -208,48 +219,6 @@ std::vector<RobustResult> RobustnessEvaluator::run_grid_sweep(
     out.push_back(summarize(std::move(errs[r]), confs[r]));
   }
   return out;
-}
-
-std::vector<RobustResult> RobustnessEvaluator::run_rate_sweep(
-    const RandomBitErrorModel& fault, const std::vector<double>& rates,
-    const Dataset& data, int n_chips, long batch) const {
-  if (!quantizer_) {
-    throw std::invalid_argument(
-        "RobustnessEvaluator::run_rate_sweep: needs a quantizing evaluator");
-  }
-  if (rates.empty() || n_chips <= 0) return {};
-  double p_max = 0.0;
-  for (double p : rates) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      throw std::invalid_argument("run_rate_sweep: rates must be in [0,1]");
-    }
-    p_max = std::max(p_max, p);
-  }
-  return run_grid_sweep(
-      rates.size(), n_chips, data, batch,
-      [&](std::uint64_t chip) {
-        return fault.fault_list(base_snap_, chip, p_max);
-      },
-      [&](std::size_t r) { return rates[r]; });
-}
-
-std::vector<RobustResult> RobustnessEvaluator::run_voltage_sweep(
-    const ProfiledChipModel& fault, const std::vector<double>& voltages,
-    const Dataset& data, int n_offsets, long batch) const {
-  if (!quantizer_) {
-    throw std::invalid_argument(
-        "RobustnessEvaluator::run_voltage_sweep: needs a quantizing "
-        "evaluator");
-  }
-  if (voltages.empty() || n_offsets <= 0) return {};
-  double v_min = voltages[0];
-  for (double v : voltages) v_min = std::min(v_min, v);
-  return run_grid_sweep(
-      voltages.size(), n_offsets, data, batch,
-      [&](std::uint64_t trial) {
-        return fault.fault_list(base_snap_, trial, v_min);
-      },
-      [&](std::size_t r) { return fault.chip().model_rate_at(voltages[r]); });
 }
 
 }  // namespace ber

@@ -9,15 +9,16 @@
 // deterministic per (model config, trial), so results are reproducible and
 // independent of thread count.
 //
-// run_rate_sweep() is the multi-rate fast path for random bit errors: the
+// run_rate_sweep() is the multi-rate fast path for persistent fault models
+// (FaultModel::persistent — uniform random errors and profiled chips): the
 // persistence property (faults at p' <= p are a subset of those at p) lets
-// one ChipFaultList per chip, built at the top of the rate grid, serve every
-// rate — each rate's results are bit-identical to a standalone run() at that
-// rate, at a fraction of the hashing cost.
+// one ChipFaultList per trial, built at the top of the rate grid, serve
+// every rate — each rate's results are bit-identical to a standalone run()
+// at that rate, at a fraction of the hashing cost. Voltage grids map through
+// the model's rate_at_voltage() first.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -31,10 +32,6 @@ namespace ber {
 namespace obs {
 class ForensicsCollector;
 }
-
-class ChipFaultList;
-class ProfiledChipModel;
-class RandomBitErrorModel;
 
 struct RobustResult {
   float mean_rerr = 0.0f;
@@ -99,33 +96,17 @@ class RobustnessEvaluator {
   RobustResult run(const FaultModel& fault, const Dataset& data, int n_trials,
                    long batch = 200) const;
 
-  // Evaluates `fault`'s scenario across a whole rate grid, building each
-  // chip's fault list once at max(rates). Returns one RobustResult per rate,
-  // bit-identical to run() with the model's config at that rate.
-  std::vector<RobustResult> run_rate_sweep(const RandomBitErrorModel& fault,
+  // Evaluates persistent `fault`'s scenario across a whole rate grid,
+  // building each trial's fault list once at max(rates). Returns one
+  // RobustResult per rate, bit-identical to run() with the same model
+  // configured at that rate (for a profiled chip: at the voltage the rate
+  // came from). Throws std::invalid_argument for non-persistent models.
+  std::vector<RobustResult> run_rate_sweep(const FaultModel& fault,
                                            const std::vector<double>& rates,
-                                           const Dataset& data, int n_chips,
+                                           const Dataset& data, int n_trials,
                                            long batch = 200) const;
 
-  // The voltage-grid analog of run_rate_sweep for profiled chips: profiled
-  // maps are persistent in voltage too (faulty cells at a higher voltage are
-  // a subset of those at a lower one), so each trial's offset mapping is
-  // swept over the chip's cells once — at min(voltages) — and the resulting
-  // fault list serves the whole grid. Returns one RobustResult per voltage,
-  // bit-identical to run() with a ProfiledChipModel at that voltage.
-  // `fault`'s own voltage is ignored; only its chip and mapping are used.
-  std::vector<RobustResult> run_voltage_sweep(
-      const ProfiledChipModel& fault, const std::vector<double>& voltages,
-      const Dataset& data, int n_offsets, long batch = 200) const;
-
  private:
-  // Shared scaffolding of the persistence-based grid sweeps: per trial,
-  // build one fault list and apply it at every grid point's rate.
-  std::vector<RobustResult> run_grid_sweep(
-      std::size_t n_points, int n_trials, const Dataset& data, long batch,
-      const std::function<ChipFaultList(std::uint64_t trial)>& build_list,
-      const std::function<double(std::size_t point)>& rate_of) const;
-
   Sequential& model_;
   std::optional<NetQuantizer> quantizer_;
   NetSnapshot base_snap_;

@@ -22,4 +22,21 @@ void FaultModel::corrupt_codeword(SecdedWord&, std::uint64_t,
   throw std::logic_error(describe() + ": codeword faults not supported");
 }
 
+ChipFaultList FaultModel::fault_list(const NetSnapshot&, std::uint64_t,
+                                     double) const {
+  throw std::logic_error(describe() + ": not a persistent fault model");
+}
+
+double FaultModel::rate_at_voltage(double) const {
+  throw std::logic_error(describe() + ": not a persistent fault model");
+}
+
+void require_persistent(const FaultModel& fault, const char* caller) {
+  if (!fault.persistent()) {
+    throw std::invalid_argument(std::string(caller) + ": " +
+                                fault.describe() +
+                                " is not a persistent fault model");
+  }
+}
+
 }  // namespace ber

@@ -19,6 +19,13 @@
 //     directly (no quantization involved).
 // Calling the hook for the wrong space throws std::logic_error.
 //
+// Persistent models (persistent()) add a second, multi-rate view of the same
+// faults: a trial is one fixed chip whose faulty cells at rate p' <= p are a
+// subset of those at p. fault_list() materializes the chip once at the top
+// rate of a grid and the list serves every lower rate, so one sweep, one
+// planner and one fleet builder cover uniform random errors and profiled
+// chips alike; only rate_at_voltage() — the voltage -> rate curve — differs.
+//
 // Models must be safe to call concurrently for distinct trials (the
 // evaluator runs trials chip-parallel on one shared const model).
 #pragma once
@@ -28,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "biterror/injector.h"
 #include "ecc/secded.h"
 #include "nn/layer.h"
 #include "quant/net_quantizer.h"
@@ -68,6 +76,20 @@ class FaultModel {
   virtual bool supports_codeword_faults() const { return false; }
   virtual void corrupt_codeword(SecdedWord& word, std::uint64_t word_index,
                                 std::uint64_t trial) const;
+
+  // Optional capability: persistent faults (see the header comment).
+  // fault_list() is trial `trial`'s sparse fault pattern over `layout`,
+  // covering every rate up to p_max; applying it at rate p reproduces
+  // apply() of the same trial at p bit-exactly. rate_at_voltage() is the
+  // model's bit error rate at normalized voltage v (V/Vmin), non-increasing
+  // in v.
+  virtual bool persistent() const { return false; }
+  virtual ChipFaultList fault_list(const NetSnapshot& layout,
+                                   std::uint64_t trial, double p_max) const;
+  virtual double rate_at_voltage(double v) const;
 };
+
+// Throws std::invalid_argument naming `caller` unless `fault` is persistent.
+void require_persistent(const FaultModel& fault, const char* caller);
 
 }  // namespace ber

@@ -2,9 +2,8 @@
 //
 // A kFloatWeights scenario: trial t adds uniform noise in
 // [-rel_eps * range, +rel_eps * range] to every weight, where range is each
-// tensor's max |w|. Noise draws follow the historical
-// linf_weight_noise_error() stream (Rng seeded per trial from seed_base), so
-// trial indices reproduce its results exactly.
+// tensor's max |w|. Trial t draws from an Rng seeded by hashing
+// (seed_base, t), so a fixed (rel_eps, seed_base, trial) is reproducible.
 #pragma once
 
 #include "faults/fault_model.h"

@@ -32,8 +32,8 @@ std::size_t ProfiledChipModel::apply(NetSnapshot& snap,
 
 ChipFaultList ProfiledChipModel::fault_list(const NetSnapshot& layout,
                                             std::uint64_t trial,
-                                            double v_min) const {
-  return chip_->fault_list(layout, v_min, offset_for_trial(trial));
+                                            double p_max) const {
+  return chip_->fault_list(layout, p_max, offset_for_trial(trial));
 }
 
 }  // namespace ber

@@ -3,8 +3,10 @@
 //
 // Trial t selects the t-th linear weight-to-memory mapping: offsets are
 // spread over the array with a large odd stride so different mappings
-// overlap as little as possible — identical to the historical
-// robust_error_profiled() offsets, so trial indices reproduce its results.
+// overlap as little as possible. The model is persistent in voltage: its
+// rate_at_voltage() is the chip's own model_rate_at() curve, and a mapping's
+// fault list built at the rate of the lowest voltage of a grid serves every
+// voltage on it (ProfiledChip::fault_list).
 #pragma once
 
 #include <memory>
@@ -33,12 +35,13 @@ class ProfiledChipModel : public FaultModel {
   std::string describe() const override;
   std::size_t apply(NetSnapshot& snap, std::uint64_t trial) const override;
 
-  // The sparse fault pattern of trial `trial`'s mapping over `layout`,
-  // covering every voltage >= v_min (pass the bottom of a sweep grid; this
-  // model's own voltage() need not be in the grid). Apply at rate
-  // chip().model_rate_at(v) — see ProfiledChip::fault_list.
+  // This model's own voltage() need not be on the swept grid.
+  bool persistent() const override { return true; }
   ChipFaultList fault_list(const NetSnapshot& layout, std::uint64_t trial,
-                           double v_min) const;
+                           double p_max) const override;
+  double rate_at_voltage(double v) const override {
+    return chip_->model_rate_at(v);
+  }
 
  private:
   std::shared_ptr<const ProfiledChip> chip_;

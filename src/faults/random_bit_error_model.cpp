@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "energy/energy_model.h"
+
 namespace ber {
 
 namespace {
@@ -54,6 +56,10 @@ ChipFaultList RandomBitErrorModel::fault_list(const NetSnapshot& layout,
                                               std::uint64_t trial,
                                               double p_max) const {
   return ChipFaultList(layout, config_, seed_base_ + trial, p_max);
+}
+
+double RandomBitErrorModel::rate_at_voltage(double v) const {
+  return SramEnergyModel{}.bit_error_rate(v);
 }
 
 void RandomBitErrorModel::corrupt_codeword(SecdedWord& word,

@@ -1,11 +1,11 @@
 // Uniform random bit errors BErr_p (Sec. 3) as a FaultModel.
 //
-// Trial t is the chip with seed `seed_base + t`, so trial indices reproduce
-// the historical robust_error() chips exactly. Injection goes through the
-// sparse ChipFaultList hot path (biterror/injector.h); fault_list() exposes
-// the list so multi-rate sweeps can build it once per chip at the highest
-// rate and filter down — the persistence property of the model guarantees
-// the faults at p' <= p are the subset with u < p'.
+// Trial t is the chip with seed `seed_base + t`. Single-rate injection runs
+// the scalar hash pass; the model is persistent, so fault_list() builds the
+// sparse ChipFaultList (biterror/injector.h) once per chip at the top of a
+// rate grid and filters down — the faults at p' <= p are the subset with
+// u < p'. Voltages map to rates through the default Fig. 1 curve
+// (SramEnergyModel{}), the same curve the serving planner prices energy on.
 //
 // Also supports SECDED codeword faults (supports_codeword_faults), mapping
 // cell coordinates (codeword index, bit 0..71) through the same monotone
@@ -29,10 +29,11 @@ class RandomBitErrorModel : public FaultModel {
   std::string describe() const override;
   std::size_t apply(NetSnapshot& snap, std::uint64_t trial) const override;
 
-  // The sparse fault pattern of trial `trial` over `layout`, covering every
-  // rate up to p_max (>= config().p allowed; pass the top of a sweep grid).
+  // p_max may exceed config().p: pass the top of a sweep grid.
+  bool persistent() const override { return true; }
   ChipFaultList fault_list(const NetSnapshot& layout, std::uint64_t trial,
-                           double p_max) const;
+                           double p_max) const override;
+  double rate_at_voltage(double v) const override;
 
   bool supports_codeword_faults() const override { return true; }
   void corrupt_codeword(SecdedWord& word, std::uint64_t word_index,

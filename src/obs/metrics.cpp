@@ -193,7 +193,6 @@ const char* kind_name(int k) {
 }  // namespace
 
 struct Registry::Entry {
-  std::string key;
   std::string name;
   Labels labels;
   int kind;
@@ -202,9 +201,9 @@ struct Registry::Entry {
   std::unique_ptr<Histogram> histogram;
 };
 
-std::vector<Registry::Entry>& Registry::entries() const {
+std::map<std::string, Registry::Entry>& Registry::entries() const {
   if (entries_ == nullptr) {
-    const_cast<Registry*>(this)->entries_ = new std::vector<Entry>();
+    const_cast<Registry*>(this)->entries_ = new std::map<std::string, Entry>();
   }
   return *entries_;
 }
@@ -212,20 +211,16 @@ std::vector<Registry::Entry>& Registry::entries() const {
 Registry::Entry& Registry::find_or_create(const std::string& name,
                                           const Labels& labels, int kind) {
   const std::string key = metric_key(name, labels);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry>& es = entries();
-  for (Entry& e : es) {
-    if (e.key == key) {
-      if (e.kind != kind) {
-        throw std::invalid_argument(
-            "obs::Registry: \"" + key + "\" already registered as a " +
-            kind_name(e.kind) + ", requested as a " + kind_name(kind));
-      }
-      return e;
+  const auto [it, inserted] = entries().try_emplace(key);
+  Entry& e = it->second;
+  if (!inserted) {
+    if (e.kind != kind) {
+      throw std::invalid_argument(
+          "obs::Registry: \"" + key + "\" already registered as a " +
+          kind_name(e.kind) + ", requested as a " + kind_name(kind));
     }
+    return e;
   }
-  Entry e;
-  e.key = key;
   e.name = name;
   e.labels = labels;
   e.kind = kind;
@@ -234,37 +229,33 @@ Registry::Entry& Registry::find_or_create(const std::string& name,
     case kGauge: e.gauge = std::make_unique<Gauge>(); break;
     default: e.histogram = std::make_unique<Histogram>(); break;
   }
-  es.push_back(std::move(e));
-  return es.back();
+  return e;
 }
 
 Counter& Registry::counter(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kCounter).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kGauge).gauge;
 }
 
 Histogram& Registry::histogram(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kHistogram).histogram;
 }
 
 Json Registry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const Entry*> sorted;
-  for (const Entry& e : entries()) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Entry* a, const Entry* b) { return a->key < b->key; });
   Json counters = Json::object(), gauges = Json::object(),
        histograms = Json::object();
-  for (const Entry* e : sorted) {
-    switch (e->kind) {
-      case kCounter: counters.set(e->key, e->counter->value()); break;
-      case kGauge: gauges.set(e->key, e->gauge->value()); break;
-      default:
-        histograms.set(e->key, e->histogram->snapshot().to_json());
-        break;
+  for (const auto& [key, e] : entries()) {
+    switch (e.kind) {
+      case kCounter: counters.set(key, e.counter->value()); break;
+      case kGauge: gauges.set(key, e.gauge->value()); break;
+      default: histograms.set(key, e.histogram->snapshot().to_json()); break;
     }
   }
   Json j = Json::object();
@@ -332,31 +323,27 @@ void append_sample(std::string& out, const std::string& name,
 
 std::string Registry::to_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const Entry*> sorted;
-  for (const Entry& e : entries()) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Entry* a, const Entry* b) { return a->key < b->key; });
   std::string out;
-  for (const Entry* e : sorted) {
-    const std::string name = prom_name(e->name);
-    const std::string labels = prom_labels(e->labels);
-    switch (e->kind) {
+  for (const auto& [key, e] : entries()) {
+    const std::string name = prom_name(e.name);
+    const std::string labels = prom_labels(e.labels);
+    switch (e.kind) {
       case kCounter:
         append_sample(out, name, labels,
-                      static_cast<double>(e->counter->value()));
+                      static_cast<double>(e.counter->value()));
         break;
       case kGauge:
-        append_sample(out, name, labels, e->gauge->value());
+        append_sample(out, name, labels, e.gauge->value());
         break;
       default: {
-        const Histogram::Snapshot s = e->histogram->snapshot();
+        const Histogram::Snapshot s = e.histogram->snapshot();
         append_sample(out, name + "_count", labels,
                       static_cast<double>(s.count));
         append_sample(out, name + "_sum", labels, s.sum);
         const std::pair<double, const char*> quantiles[] = {
             {0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"}};
         for (const auto& [q, qname] : quantiles) {
-          append_sample(out, name, prom_labels(e->labels, "quantile", qname),
+          append_sample(out, name, prom_labels(e.labels, "quantile", qname),
                         s.quantile(q));
         }
         // Cumulative Prometheus buckets alongside the quantile summaries.
@@ -377,11 +364,11 @@ std::string Registry::to_prometheus() const {
           std::snprintf(le, sizeof(le), "%llu",
                         static_cast<unsigned long long>(upper - 1));
           append_sample(out, name + "_bucket",
-                        prom_labels(e->labels, "le", le),
+                        prom_labels(e.labels, "le", le),
                         static_cast<double>(cum));
         }
         append_sample(out, name + "_bucket",
-                      prom_labels(e->labels, "le", "+Inf"),
+                      prom_labels(e.labels, "le", "+Inf"),
                       static_cast<double>(std::max(cum, s.count)));
         break;
       }
@@ -392,7 +379,7 @@ std::string Registry::to_prometheus() const {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries()) {
+  for (auto& [key, e] : entries()) {
     switch (e.kind) {
       case kCounter: e.counter->reset(); break;
       case kGauge: e.gauge->reset(); break;

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -146,14 +147,17 @@ class Registry {
 
  private:
   struct Entry;
-  // Sorted by key under mu_; pointers to instruments are stable (unique_ptr
-  // payloads never move).
-  std::vector<Entry>& entries() const;
+  // Keyed by metric_key, so snapshots iterate in key order. Guarded by mu_;
+  // map nodes never move, so an Entry (and the instrument it owns) stays
+  // put while other threads register new keys.
+  std::map<std::string, Entry>& entries() const;
+  // Caller holds mu_ and resolves the entry's instrument before releasing
+  // it.
   Entry& find_or_create(const std::string& name, const Labels& labels,
                         int kind);
 
   mutable std::mutex mu_;
-  std::vector<Entry>* entries_ = nullptr;  // defined in metrics.cpp
+  std::map<std::string, Entry>* entries_ = nullptr;  // defined in metrics.cpp
 };
 
 Registry& registry();

@@ -65,16 +65,20 @@ OperatingPointPlan select_operating_point(std::vector<GridPoint> grid,
 }
 
 OperatingPointPlanner::OperatingPointPlanner(Sequential& model,
-                                             const QuantScheme& scheme,
-                                             SramEnergyModel energy)
-    : model_(model),
-      scheme_(scheme),
-      energy_(energy),
-      evaluator_(model, scheme) {}
+                                             const QuantScheme& scheme)
+    : model_(model), scheme_(scheme), evaluator_(model, scheme) {}
 
-std::vector<GridPoint> OperatingPointPlanner::make_grid(
-    const std::vector<double>& voltages, const std::vector<double>& rates,
-    std::vector<RobustResult> sweep) const {
+OperatingPointPlan OperatingPointPlanner::plan(
+    const FaultModel& fault, const Dataset& data,
+    const std::vector<double>& voltages, const SloConfig& slo, int n_chips,
+    long batch) const {
+  check_descending(voltages);
+  require_persistent(fault, "planner");
+  std::vector<double> rates;
+  rates.reserve(voltages.size());
+  for (double v : voltages) rates.push_back(fault.rate_at_voltage(v));
+  std::vector<RobustResult> sweep =
+      evaluator_.run_rate_sweep(fault, rates, data, n_chips, batch);
   std::vector<GridPoint> grid(voltages.size());
   for (std::size_t i = 0; i < voltages.size(); ++i) {
     grid[i].voltage = voltages[i];
@@ -82,43 +86,16 @@ std::vector<GridPoint> OperatingPointPlanner::make_grid(
     grid[i].rerr = std::move(sweep[i]);
     grid[i].energy = energy_.energy_per_access(voltages[i]);
   }
-  return grid;
-}
-
-OperatingPointPlan OperatingPointPlanner::plan(
-    const RandomBitErrorModel& fault, const Dataset& data,
-    const std::vector<double>& voltages, const SloConfig& slo, int n_chips,
-    long batch) const {
-  check_descending(voltages);
-  std::vector<double> rates;
-  rates.reserve(voltages.size());
-  for (double v : voltages) rates.push_back(energy_.bit_error_rate(v));
-  std::vector<RobustResult> sweep =
-      evaluator_.run_rate_sweep(fault, rates, data, n_chips, batch);
-  return select_operating_point(make_grid(voltages, rates, std::move(sweep)),
-                                slo);
-}
-
-OperatingPointPlan OperatingPointPlanner::plan_profiled(
-    const ProfiledChipModel& fault, const Dataset& data,
-    const std::vector<double>& voltages, const SloConfig& slo, int n_offsets,
-    long batch) const {
-  check_descending(voltages);
-  std::vector<double> rates;
-  rates.reserve(voltages.size());
-  for (double v : voltages) rates.push_back(fault.chip().model_rate_at(v));
-  std::vector<RobustResult> sweep = evaluator_.run_voltage_sweep(
-      fault, voltages, data, n_offsets, batch);
-  return select_operating_point(make_grid(voltages, rates, std::move(sweep)),
-                                slo);
+  return select_operating_point(std::move(grid), slo);
 }
 
 std::vector<Replica> OperatingPointPlanner::deploy_fleet(
-    const RandomBitErrorModel& fault, const OperatingPointPlan& plan,
+    const FaultModel& fault, const OperatingPointPlan& plan,
     int n_replicas) const {
   if (n_replicas < 1) {
     throw std::invalid_argument("deploy_fleet: need at least one replica");
   }
+  require_persistent(fault, "deploy_fleet");
   auto base = std::make_shared<NetSnapshot>(evaluator_.snapshot());
   const NetQuantizer quantizer(scheme_);
   const double p_bottom = plan.grid.back().rate;
@@ -127,27 +104,6 @@ std::vector<Replica> OperatingPointPlanner::deploy_fleet(
   for (int r = 0; r < n_replicas; ++r) {
     ChipFaultList faults =
         fault.fault_list(*base, static_cast<std::uint64_t>(r), p_bottom);
-    fleet.emplace_back(r, model_, quantizer, base, std::move(faults),
-                       plan.voltages(), plan.rates(), plan.chosen, on_codes_);
-  }
-  return fleet;
-}
-
-std::vector<Replica> OperatingPointPlanner::deploy_fleet_profiled(
-    const ProfiledChipModel& fault, const OperatingPointPlan& plan,
-    int n_replicas) const {
-  if (n_replicas < 1) {
-    throw std::invalid_argument(
-        "deploy_fleet_profiled: need at least one replica");
-  }
-  auto base = std::make_shared<NetSnapshot>(evaluator_.snapshot());
-  const NetQuantizer quantizer(scheme_);
-  const double v_bottom = plan.grid.back().voltage;
-  std::vector<Replica> fleet;
-  fleet.reserve(static_cast<std::size_t>(n_replicas));
-  for (int r = 0; r < n_replicas; ++r) {
-    ChipFaultList faults =
-        fault.fault_list(*base, static_cast<std::uint64_t>(r), v_bottom);
     fleet.emplace_back(r, model_, quantizer, base, std::move(faults),
                        plan.voltages(), plan.rates(), plan.chosen, on_codes_);
   }

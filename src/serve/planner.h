@@ -10,12 +10,13 @@
 // (fault persistence), so the feasible region is a contiguous prefix and
 // the last feasible point is the lowest-energy voltage that meets the SLO.
 //
-// Sweeps reuse the evaluator's fast paths — run_rate_sweep for uniform
-// random bit errors (rates from SramEnergyModel's Fig. 1 curve),
-// run_voltage_sweep for profiled chips — so the whole grid costs one fault
-// list build per chip. deploy_fleet() then hands each replica the chip of
-// one sweep trial, its list built once at the grid bottom, deployed at the
-// planned voltage.
+// Any persistent fault model plans the same way: the voltage grid maps to
+// rates through the model's rate_at_voltage() (the default Fig. 1 curve for
+// uniform random errors, the chip's own curve for a profiled chip), and the
+// evaluator's run_rate_sweep costs one fault list build per chip for the
+// whole grid. deploy_fleet() then hands each replica the chip of one sweep
+// trial, its list built once at the grid bottom, deployed at the planned
+// voltage.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +26,7 @@
 #include "data/dataset.h"
 #include "energy/energy_model.h"
 #include "faults/evaluator.h"
-#include "faults/profiled_chip_model.h"
-#include "faults/random_bit_error_model.h"
+#include "faults/fault_model.h"
 #include "serve/replica.h"
 
 namespace ber {
@@ -77,39 +77,26 @@ Json plan_to_json(const OperatingPointPlan& plan, const SloConfig& slo);
 class OperatingPointPlanner {
  public:
   // Quantizes `model` once under `scheme`; the model must outlive the
-  // planner (replica clones are cut from it at deploy time).
-  OperatingPointPlanner(Sequential& model, const QuantScheme& scheme,
-                        SramEnergyModel energy = {});
+  // planner (replica clones are cut from it at deploy time). Energy is
+  // priced on the default Fig. 1 curve (SramEnergyModel{}).
+  OperatingPointPlanner(Sequential& model, const QuantScheme& scheme);
 
-  // Plans against uniform random bit errors: voltages (strictly descending,
+  // Plans against persistent `fault`: voltages (strictly descending,
   // normalized; include 1.0 to always have a Vmin fallback) are mapped to
-  // rates via the energy model and swept with n_chips trials each.
-  OperatingPointPlan plan(const RandomBitErrorModel& fault, const Dataset& data,
+  // rates via fault.rate_at_voltage() and swept with n_chips trials each.
+  // Throws std::invalid_argument for non-persistent models.
+  OperatingPointPlan plan(const FaultModel& fault, const Dataset& data,
                           const std::vector<double>& voltages,
                           const SloConfig& slo, int n_chips,
                           long batch = 200) const;
 
-  // Profiled-chip variant: rates come from the chip's own voltage curve and
-  // the sweep runs over n_offsets weight-to-memory mappings.
-  OperatingPointPlan plan_profiled(const ProfiledChipModel& fault,
-                                   const Dataset& data,
-                                   const std::vector<double>& voltages,
-                                   const SloConfig& slo, int n_offsets,
-                                   long batch = 200) const;
-
   // Builds n_replicas replicas of the planned deployment: replica r serves
-  // the chip of sweep trial r, with ONE fault list built at the grid bottom
-  // (so step_up()/deploy() can move along the whole grid), deployed at
-  // plan.chosen.
-  std::vector<Replica> deploy_fleet(const RandomBitErrorModel& fault,
+  // the chip of sweep trial r (a profiled chip's mapping r), with ONE fault
+  // list built at the grid bottom (so step_up()/deploy() can move along the
+  // whole grid), deployed at plan.chosen.
+  std::vector<Replica> deploy_fleet(const FaultModel& fault,
                                     const OperatingPointPlan& plan,
                                     int n_replicas) const;
-
-  // Profiled-chip fleet: replica r serves the chip under mapping trial r
-  // (one fault list per mapping, swept once at the grid bottom).
-  std::vector<Replica> deploy_fleet_profiled(const ProfiledChipModel& fault,
-                                             const OperatingPointPlan& plan,
-                                             int n_replicas) const;
 
   // Mean energy per access of a fleet (vs Vmin), from each replica's
   // current operating point.
@@ -128,10 +115,6 @@ class OperatingPointPlanner {
   bool compute_on_codes() const { return on_codes_; }
 
  private:
-  std::vector<GridPoint> make_grid(const std::vector<double>& voltages,
-                                   const std::vector<double>& rates,
-                                   std::vector<RobustResult> sweep) const;
-
   Sequential& model_;
   QuantScheme scheme_;
   SramEnergyModel energy_;

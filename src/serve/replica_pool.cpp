@@ -203,10 +203,6 @@ ServingStats ReplicaPool::stats() const {
   }
   s.mean_batch_images =
       s.batches > 0 ? static_cast<double>(s.images) / s.batches : 0.0;
-  const obs::Histogram::Snapshot lat = latency_hist_.snapshot();
-  s.p50_latency_us = lat.quantile(0.50);
-  s.p99_latency_us = lat.quantile(0.99);
-  s.p999_latency_us = lat.quantile(0.999);
   return s;
 }
 

@@ -39,13 +39,6 @@ struct ServingStats {
   long images = 0;
   long batches = 0;
   double mean_batch_images = 0.0;
-  // Latency percentiles (submit -> promise fulfilled, per request) from a
-  // log-linear histogram over the pool's whole lifetime (obs/metrics.h):
-  // O(1) recording, <= ~3.2% relative bucket error, no window truncation
-  // and no per-snapshot sort. The field names predate the histogram port.
-  double p50_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
   std::vector<long> per_replica_batches;
   std::vector<long> per_replica_images;
   // Deployment telemetry aggregated over the fleet (Replica::DeployStats):
@@ -82,8 +75,10 @@ class ReplicaPool {
   std::size_t size() const { return replicas_.size(); }
   Replica& replica(std::size_t i) { return replicas_[i]; }
 
-  // The pool-level latency distribution (submit -> fulfilled, us) — the
-  // histogram the SLO scoreboard windows over.
+  // The pool-level latency distribution (submit -> fulfilled, us, over the
+  // pool's lifetime) — the histogram the SLO scoreboard windows over. Read
+  // percentiles as latency_histogram().snapshot().quantile(q): <= ~3.2%
+  // relative bucket error, no sample window.
   const obs::Histogram& latency_histogram() const { return latency_hist_; }
   // Live queued-but-unserved image backlog.
   long queue_depth_images() const { return queue_.depth_images(); }

@@ -130,23 +130,17 @@ TrainStats train(Sequential& model, const Dataset& train_set,
                   ? config.pattern_seed
                   : hash_mix(config.seed, 0xB17E44ULL,
                              static_cast<std::uint64_t>(epoch));
-          NetSnapshot perturbed = snap;
-          if (config.reuse_fault_lists) {
-            if (!chip_faults || chip_faults_seed != chip) {
-              BitErrorConfig bec;
-              bec.p = config.p_train;
-              chip_faults.emplace(snap, bec, chip, /*p_max=*/config.p_train);
-              chip_faults_seed = chip;
-            }
-            chip_faults->apply(perturbed, p_now);
-          } else {
-            // Reference path: per-batch scalar re-hash of the same chip.
-            // Persistence makes both paths byte-identical (u < p_now picks
-            // the same cells whether filtered from the list or re-hashed).
+          // The epoch's chip fault list is built once and reapplied per
+          // batch; persistence makes it byte-identical to re-hashing the
+          // chip at p_now (u < p_now picks the same cells).
+          if (!chip_faults || chip_faults_seed != chip) {
             BitErrorConfig bec;
-            bec.p = p_now;
-            inject_random_bit_errors(perturbed, bec, chip);
+            bec.p = config.p_train;
+            chip_faults.emplace(snap, bec, chip, /*p_max=*/config.p_train);
+            chip_faults_seed = chip;
           }
+          NetSnapshot perturbed = snap;
+          chip_faults->apply(perturbed, p_now);
 
           if (config.alternating) {
             // Two separate updates: clean first, then perturbed with a

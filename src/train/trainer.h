@@ -48,11 +48,6 @@ struct TrainConfig {
   float bit_error_loss_threshold = 1.75f;  // gate for RANDBET injection
   bool curricular = false;
   bool alternating = false;
-  // Build each epoch's chip fault list once and reapply it per batch (the
-  // fast path). false = re-hash the same chip per batch via the scalar
-  // injector — kept as the bit-exactness reference; trajectories are
-  // identical for a fixed seed (tested in test_trainer.cpp).
-  bool reuse_fault_lists = true;
   // Compute backend for this training run ("" = inherit the caller's
   // current backend; see src/kernels/backend.h). "blocked" trades bit-exact
   // reproducibility of trajectories across backends for throughput.

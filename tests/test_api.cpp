@@ -167,17 +167,6 @@ TEST(Registry, AllFiveFaultModelsConstructibleByName) {
   EXPECT_EQ(cmc->trials()[0].size(), 4u);  // budget-matched flips
 }
 
-TEST(Registry, ProfiledReusesContextChip) {
-  RegistryFixture fx;
-  ProfiledChip chip(ProfiledChipConfig::chip1(55));
-  api::FaultContext ctx;
-  ctx.chip = &chip;
-  Json params = Json::object();
-  params.set("voltage", 0.9);
-  auto pm = api::make_fault_model("profiled", params, ctx);
-  EXPECT_EQ(&dynamic_cast<ProfiledChipModel&>(*pm).chip(), &chip);
-}
-
 TEST(Registry, RejectionsAreActionable) {
   RegistryFixture fx;
   const api::FaultContext ctx = fx.context();
@@ -403,14 +392,14 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
   BitErrorConfig cfg;
   cfg.p = 0.02;
   const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
+  const RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
   const std::vector<RobustResult> legacy_sweep =
-      RobustnessEvaluator(*legacy.model, legacy.scheme)
-          .run_rate_sweep(fault, grid, legacy.test_set, /*n_chips=*/2);
-  // Legacy single-point path (robust_error).
+      evaluator.run_rate_sweep(fault, grid, legacy.test_set, /*n_trials=*/2);
+  // Hand-wired single-point path.
   BitErrorConfig single;
   single.p = grid[1];
-  const RobustResult legacy_single = robust_error(
-      *legacy.model, legacy.scheme, legacy.test_set, single, 2, 1000);
+  const RobustResult legacy_single =
+      evaluator.run(RandomBitErrorModel(single, 1000), legacy.test_set, 2);
 
   const api::Report report = api::Experiment("bitexact")
                                  .model(tiny_entry())

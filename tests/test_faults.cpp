@@ -1,7 +1,7 @@
 // Unified FaultModel pipeline tests: BitErrorConfig validation, bit-exact
 // agreement of the sparse ChipFaultList path with the scalar reference,
-// fault persistence across rates, and regression of the metrics.h entry
-// points (and the ECC baseline) against the legacy hand-rolled pipelines
+// fault persistence across rates, and regression of the evaluator's fault
+// models (and the ECC baseline) against the legacy hand-rolled pipelines
 // they replaced.
 #include <gtest/gtest.h>
 
@@ -235,9 +235,9 @@ TEST(ProfiledChip, FaultListServesWholeVoltageGrid) {
   const ProfiledChip chip(cc);
   const NetSnapshot clean = make_snapshot(20000, 8);
   const std::uint64_t offset = 7919ULL * 64ULL;
-  const double v_min = 0.80;
-  const ChipFaultList list = chip.fault_list(clean, v_min, offset);
-  EXPECT_EQ(list.p_max(), chip.model_rate_at(v_min));
+  const double p_max = chip.model_rate_at(0.80);
+  const ChipFaultList list = chip.fault_list(clean, p_max, offset);
+  EXPECT_EQ(list.p_max(), p_max);
   for (double v : {0.80, 0.85, 0.92, 1.05}) {
     NetSnapshot from_list = clean, fresh = clean;
     list.apply(from_list, chip.model_rate_at(v));
@@ -256,12 +256,14 @@ TEST(RobustnessEvaluator, VoltageSweepMatchesIndividualRuns) {
   const ProfiledChip chip(cc);
   const std::vector<double> grid{0.82, 0.86, 0.95};
   const ProfiledChipModel fault(chip, grid[0]);
-  const auto sweep = RobustnessEvaluator(*f.model, scheme)
-                         .run_voltage_sweep(fault, grid, f.data, 4);
+  std::vector<double> rates;
+  for (double v : grid) rates.push_back(fault.rate_at_voltage(v));
+  const RobustnessEvaluator evaluator(*f.model, scheme);
+  const auto sweep = evaluator.run_rate_sweep(fault, rates, f.data, 4);
   ASSERT_EQ(sweep.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const RobustResult single =
-        robust_error_profiled(*f.model, scheme, f.data, chip, grid[i], 4);
+        evaluator.run(ProfiledChipModel(chip, grid[i]), f.data, 4);
     EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "v=" << grid[i];
   }
 }
@@ -297,11 +299,11 @@ RobustResult legacy_summarize(std::vector<float> errs,
   return r;
 }
 
-// The legacy robust_error pipeline (fresh clone per chip, scalar injection).
+// The legacy random-error pipeline (fresh clone per chip, scalar injection).
 // Code-space legacy loops deploy through the same weight-space/on-codes
 // switch the evaluator uses so the regression stays a pipeline-identity
 // check under BER_COMPUTE_ON_CODES=1 too.
-RobustResult legacy_robust_error(Sequential& model, const QuantScheme& scheme,
+RobustResult legacy_random_rerr(Sequential& model, const QuantScheme& scheme,
                                  const Dataset& data,
                                  const BitErrorConfig& config, int n_chips,
                                  std::uint64_t seed_base) {
@@ -321,11 +323,10 @@ RobustResult legacy_robust_error(Sequential& model, const QuantScheme& scheme,
   return legacy_summarize(std::move(errs), std::move(confs));
 }
 
-RobustResult legacy_robust_error_profiled(Sequential& model,
-                                          const QuantScheme& scheme,
-                                          const Dataset& data,
-                                          const ProfiledChip& chip, double v,
-                                          int n_offsets) {
+RobustResult legacy_profiled_rerr(Sequential& model, const QuantScheme& scheme,
+                                  const Dataset& data,
+                                  const ProfiledChip& chip, double v,
+                                  int n_offsets) {
   NetQuantizer quantizer(scheme);
   const NetSnapshot base = quantizer.quantize(model.params());
   std::vector<float> errs, confs;
@@ -344,10 +345,9 @@ RobustResult legacy_robust_error_profiled(Sequential& model,
   return legacy_summarize(std::move(errs), std::move(confs));
 }
 
-RobustResult legacy_linf_weight_noise_error(Sequential& model,
-                                            const Dataset& data,
-                                            double rel_eps, int n_samples,
-                                            std::uint64_t seed_base) {
+RobustResult legacy_linf_rerr(Sequential& model, const Dataset& data,
+                             double rel_eps, int n_samples,
+                             std::uint64_t seed_base) {
   std::vector<float> errs, confs;
   for (int s = 0; s < n_samples; ++s) {
     Sequential clone(model);
@@ -373,17 +373,18 @@ void expect_same_result(const RobustResult& now, const RobustResult& legacy) {
   EXPECT_FLOAT_EQ(now.mean_confidence, legacy.mean_confidence);
 }
 
-TEST(FaultRegression, RobustErrorUnchanged) {
+TEST(FaultRegression, RandomBitErrorModelUnchanged) {
   Fixture f;
   const QuantScheme scheme = QuantScheme::rquant(8);
   BitErrorConfig cfg;
   cfg.p = 0.01;
   expect_same_result(
-      robust_error(*f.model, scheme, f.data, cfg, 5, /*seed_base=*/1000),
-      legacy_robust_error(*f.model, scheme, f.data, cfg, 5, 1000));
+      RobustnessEvaluator(*f.model, scheme)
+          .run(RandomBitErrorModel(cfg, /*seed_base=*/1000), f.data, 5),
+      legacy_random_rerr(*f.model, scheme, f.data, cfg, 5, 1000));
 }
 
-TEST(FaultRegression, RobustErrorProfiledUnchanged) {
+TEST(FaultRegression, ProfiledChipModelUnchanged) {
   Fixture f;
   const QuantScheme scheme = QuantScheme::rquant(8);
   ProfiledChipConfig cc = ProfiledChipConfig::chip2();
@@ -391,15 +392,17 @@ TEST(FaultRegression, RobustErrorProfiledUnchanged) {
   cc.cols = 64;
   const ProfiledChip chip(cc);
   expect_same_result(
-      robust_error_profiled(*f.model, scheme, f.data, chip, 0.84, 4),
-      legacy_robust_error_profiled(*f.model, scheme, f.data, chip, 0.84, 4));
+      RobustnessEvaluator(*f.model, scheme)
+          .run(ProfiledChipModel(chip, 0.84), f.data, 4),
+      legacy_profiled_rerr(*f.model, scheme, f.data, chip, 0.84, 4));
 }
 
-TEST(FaultRegression, LinfWeightNoiseErrorUnchanged) {
+TEST(FaultRegression, LinfNoiseModelUnchanged) {
   Fixture f;
   expect_same_result(
-      linf_weight_noise_error(*f.model, f.data, 0.1, 4, /*seed_base=*/2000),
-      legacy_linf_weight_noise_error(*f.model, f.data, 0.1, 4, 2000));
+      RobustnessEvaluator(*f.model)
+          .run(LinfNoiseModel(0.1, /*seed_base=*/2000), f.data, 4),
+      legacy_linf_rerr(*f.model, f.data, 0.1, 4, 2000));
 }
 
 // The legacy ECC baseline loop (pre-refactor bench_ecc_baseline.cpp).
@@ -464,16 +467,42 @@ TEST(RobustnessEvaluator, RateSweepMatchesIndividualRuns) {
   BitErrorConfig cfg;
   cfg.p = 0.02;
   const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
-  const auto sweep =
-      RobustnessEvaluator(*f.model, scheme).run_rate_sweep(fault, grid, f.data, 4);
+  const RobustnessEvaluator evaluator(*f.model, scheme);
+  const auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 4);
   ASSERT_EQ(sweep.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     BitErrorConfig at_p = cfg;
     at_p.p = grid[i];
     const RobustResult single =
-        robust_error(*f.model, scheme, f.data, at_p, 4, 1000);
+        evaluator.run(RandomBitErrorModel(at_p, 1000), f.data, 4);
     EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "p=" << grid[i];
   }
+}
+
+TEST(RobustnessEvaluator, RateSweepRejectsNonPersistentModels) {
+  // Fails on the calling thread, before any trial fans out to a worker.
+  Fixture f;
+  const RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
+  EXPECT_FALSE(EccProtectedModel(0.01).persistent());
+  EXPECT_THROW(evaluator.run_rate_sweep(EccProtectedModel(0.01), {0.01},
+                                        f.data, 2),
+               std::invalid_argument);
+  EXPECT_THROW(evaluator.run_rate_sweep(LinfNoiseModel(0.1), {0.01}, f.data, 2),
+               std::invalid_argument);
+}
+
+TEST(FaultModel, PersistentModelsExposeTheirVoltageCurves) {
+  // Random errors follow the default Fig. 1 curve; a profiled chip its own.
+  const RandomBitErrorModel random(BitErrorConfig{});
+  ProfiledChipConfig cc = ProfiledChipConfig::chip1();
+  cc.rows = 64;
+  cc.rate_model.slope = 30.0;
+  const ProfiledChipModel profiled(cc, 0.9);
+  for (double v : {1.0, 0.9, 0.8}) {
+    EXPECT_EQ(random.rate_at_voltage(v), SramEnergyModel{}.bit_error_rate(v));
+    EXPECT_EQ(profiled.rate_at_voltage(v), profiled.chip().model_rate_at(v));
+  }
+  EXPECT_NE(random.rate_at_voltage(0.9), profiled.rate_at_voltage(0.9));
 }
 
 TEST(RobustnessEvaluator, ModelLeftUntouched) {

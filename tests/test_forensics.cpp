@@ -198,7 +198,9 @@ TEST(ForensicsCounters, LedgerReconcilesAcrossEvaluatorPaths) {
   campaign(
       [&] { ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 3, 40); });
   const ProfiledChipModel profiled(ProfiledChipConfig::chip1(), 0.9);
-  campaign([&] { ev.run_voltage_sweep(profiled, {1.0, 0.9}, f.data, 2, 40); });
+  const std::vector<double> rates{profiled.rate_at_voltage(1.0),
+                                  profiled.rate_at_voltage(0.9)};
+  campaign([&] { ev.run_rate_sweep(profiled, rates, f.data, 2, 40); });
   obs::fault_ledger().clear();
 }
 

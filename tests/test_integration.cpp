@@ -7,6 +7,9 @@
 #include "biterror/injector.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/evaluator.h"
+#include "faults/profiled_chip_model.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "train/trainer.h"
 
@@ -65,6 +68,16 @@ Sequential& clipped_model() {
   return *model;
 }
 
+// RErr of `model` under uniform random bit errors at rate p, averaged over
+// `n_chips` chips (seeds 1000, 1001, ...).
+RobustResult random_rerr(Sequential& model, const QuantScheme& scheme,
+                         double p, int n_chips) {
+  BitErrorConfig cfg;
+  cfg.p = p;
+  return RobustnessEvaluator(model, scheme)
+      .run(RandomBitErrorModel(cfg), mini().test_set, n_chips);
+}
+
 TEST(Integration, TrainingReachesLowError) {
   const float err = test_error(rquant_model(), mini().test_set);
   EXPECT_LT(err, 0.35f);  // miniature budget; chance would be 0.9
@@ -74,9 +87,7 @@ TEST(Integration, RobustErrorAtLeastCleanError) {
   Sequential& model = rquant_model();
   const QuantScheme scheme = QuantScheme::rquant(8);
   const float clean = test_error(model, mini().test_set, &scheme);
-  BitErrorConfig cfg;
-  cfg.p = 0.01;
-  const RobustResult r = robust_error(model, scheme, mini().test_set, cfg, 6);
+  const RobustResult r = random_rerr(model, scheme, 0.01, 6);
   EXPECT_GE(r.mean_rerr, clean - 0.01f);
 }
 
@@ -85,10 +96,7 @@ TEST(Integration, RobustErrorGrowsWithRate) {
   const QuantScheme scheme = QuantScheme::rquant(8);
   std::vector<float> rerrs;
   for (double p : {0.001, 0.01, 0.05}) {
-    BitErrorConfig cfg;
-    cfg.p = p;
-    rerrs.push_back(
-        robust_error(model, scheme, mini().test_set, cfg, 6).mean_rerr);
+    rerrs.push_back(random_rerr(model, scheme, p, 6).mean_rerr);
   }
   EXPECT_LE(rerrs[0], rerrs[1] + 0.02f);
   EXPECT_LT(rerrs[1], rerrs[2] + 0.02f);
@@ -99,12 +107,10 @@ TEST(Integration, GlobalQuantizationFarLessRobust) {
   // Tab. 1 row 1 vs row 2: one global range makes moderate bit error rates
   // catastrophic, per-tensor ranges contain the damage.
   Sequential& model = rquant_model();
-  BitErrorConfig cfg;
-  cfg.p = 0.005;
-  const RobustResult global = robust_error(
-      model, QuantScheme::global_symmetric(8), mini().test_set, cfg, 6);
-  const RobustResult per_tensor = robust_error(
-      model, QuantScheme::normal(8), mini().test_set, cfg, 6);
+  const RobustResult global =
+      random_rerr(model, QuantScheme::global_symmetric(8), 0.005, 6);
+  const RobustResult per_tensor =
+      random_rerr(model, QuantScheme::normal(8), 0.005, 6);
   EXPECT_GT(global.mean_rerr, per_tensor.mean_rerr + 0.05f);
 }
 
@@ -116,12 +122,8 @@ TEST(Integration, ClippingImprovesHighRateRobustness) {
   const QuantScheme scheme = QuantScheme::rquant(8);
   const float plain_clean = test_error(rquant_model(), mini().test_set, &scheme);
   const float clip_clean = test_error(clipped_model(), mini().test_set, &scheme);
-  BitErrorConfig cfg;
-  cfg.p = 0.01;
-  const RobustResult plain =
-      robust_error(rquant_model(), scheme, mini().test_set, cfg, 8);
-  const RobustResult clipped =
-      robust_error(clipped_model(), scheme, mini().test_set, cfg, 8);
+  const RobustResult plain = random_rerr(rquant_model(), scheme, 0.01, 8);
+  const RobustResult clipped = random_rerr(clipped_model(), scheme, 0.01, 8);
   const float plain_damage = plain.mean_rerr - plain_clean;
   const float clip_damage = clipped.mean_rerr - clip_clean;
   EXPECT_LT(clip_damage, plain_damage);
@@ -136,10 +138,8 @@ TEST(Integration, SaveLoadPreservesRobustnessExactly) {
   auto fresh = build_model(mini().model_cfg);
   fresh->load(path);
   const QuantScheme scheme = QuantScheme::rquant(8);
-  BitErrorConfig cfg;
-  cfg.p = 0.01;
-  const RobustResult a = robust_error(model, scheme, mini().test_set, cfg, 3);
-  const RobustResult b = robust_error(*fresh, scheme, mini().test_set, cfg, 3);
+  const RobustResult a = random_rerr(model, scheme, 0.01, 3);
+  const RobustResult b = random_rerr(*fresh, scheme, 0.01, 3);
   EXPECT_EQ(a.per_chip, b.per_chip);
   std::remove(path.c_str());
 }
@@ -149,11 +149,11 @@ TEST(Integration, LowerVoltageMeansHigherRErrOnProfiledChip) {
   ProfiledChipConfig cc = ProfiledChipConfig::chip1();
   cc.rows = 1024;
   ProfiledChip chip(cc);
-  const QuantScheme scheme = QuantScheme::rquant(8);
+  const RobustnessEvaluator evaluator(model, QuantScheme::rquant(8));
   const RobustResult hi =
-      robust_error_profiled(model, scheme, mini().test_set, chip, 0.92, 3);
+      evaluator.run(ProfiledChipModel(chip, 0.92), mini().test_set, 3);
   const RobustResult lo =
-      robust_error_profiled(model, scheme, mini().test_set, chip, 0.80, 3);
+      evaluator.run(ProfiledChipModel(chip, 0.80), mini().test_set, 3);
   EXPECT_GE(lo.mean_rerr, hi.mean_rerr - 0.02f);
   EXPECT_GT(lo.mean_rerr, 0.3f);  // 0.80 Vmin is ~2% bit errors: damaging
 }

@@ -1,5 +1,6 @@
-// Evaluation metric tests: Err, RErr (incl. p=0 degenerate case and
-// monotone growth), profiled-chip evaluation, L-inf noise and logit stats.
+// Evaluation metric tests: Err, RErr through the evaluator (incl. p=0
+// degenerate case and monotone growth), profiled-chip evaluation, L-inf
+// noise and logit stats.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,10 @@
 #include "core/rng.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/evaluator.h"
+#include "faults/linf_noise_model.h"
+#include "faults/profiled_chip_model.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "nn/init.h"
 #include "nn/linear.h"
@@ -31,6 +36,16 @@ struct Fixture {
     he_init(*model, rng);
   }
 };
+
+// RErr under random bit errors at rate p over `n_chips` chips from
+// `seed_base`.
+RobustResult random_rerr(const Fixture& f, const QuantScheme& scheme, double p,
+                         int n_chips, std::uint64_t seed_base = 1000) {
+  BitErrorConfig cfg;
+  cfg.p = p;
+  return RobustnessEvaluator(*f.model, scheme)
+      .run(RandomBitErrorModel(cfg, seed_base), f.data, n_chips);
+}
 
 TEST(Metrics, RandomModelNearChance) {
   Fixture f(400);
@@ -65,9 +80,7 @@ TEST(Metrics, TestErrorWithQuantMatchesManualQuantization) {
 TEST(Metrics, RobustErrorZeroRateEqualsQuantizedError) {
   Fixture f(200);
   const QuantScheme scheme = QuantScheme::rquant(8);
-  BitErrorConfig cfg;
-  cfg.p = 0.0;
-  const RobustResult r = robust_error(*f.model, scheme, f.data, cfg, 3);
+  const RobustResult r = random_rerr(f, scheme, 0.0, 3);
   const float qerr = test_error(*f.model, f.data, &scheme);
   EXPECT_EQ(r.per_chip.size(), 3u);
   for (float e : r.per_chip) EXPECT_EQ(e, qerr);
@@ -77,21 +90,17 @@ TEST(Metrics, RobustErrorZeroRateEqualsQuantizedError) {
 TEST(Metrics, RobustErrorDeterministicInSeeds) {
   Fixture f(150);
   const QuantScheme scheme = QuantScheme::rquant(8);
-  BitErrorConfig cfg;
-  cfg.p = 0.01;
-  const RobustResult a = robust_error(*f.model, scheme, f.data, cfg, 4, 500);
-  const RobustResult b = robust_error(*f.model, scheme, f.data, cfg, 4, 500);
+  const RobustResult a = random_rerr(f, scheme, 0.01, 4, 500);
+  const RobustResult b = random_rerr(f, scheme, 0.01, 4, 500);
   EXPECT_EQ(a.per_chip, b.per_chip);
-  const RobustResult c = robust_error(*f.model, scheme, f.data, cfg, 4, 501);
+  const RobustResult c = random_rerr(f, scheme, 0.01, 4, 501);
   EXPECT_NE(a.per_chip, c.per_chip);
 }
 
 TEST(Metrics, RobustErrorLeavesModelUntouched) {
   Fixture f(100);
   const float before = f.model->params()[0]->value[0];
-  BitErrorConfig cfg;
-  cfg.p = 0.05;
-  robust_error(*f.model, QuantScheme::rquant(8), f.data, cfg, 2);
+  random_rerr(f, QuantScheme::rquant(8), 0.05, 2);
   EXPECT_EQ(f.model->params()[0]->value[0], before);
 }
 
@@ -101,10 +110,7 @@ TEST(Metrics, TrainedModelDegradesWithMassiveErrors) {
   // hard to arrange here, so rely on the statistical property instead:
   // massive bit error rates drive ANY model toward chance.
   Fixture f(200);
-  BitErrorConfig heavy;
-  heavy.p = 0.3;
-  const RobustResult r =
-      robust_error(*f.model, QuantScheme::rquant(8), f.data, heavy, 3);
+  const RobustResult r = random_rerr(f, QuantScheme::rquant(8), 0.3, 3);
   EXPECT_GT(r.mean_rerr, 0.7f);
 }
 
@@ -113,8 +119,9 @@ TEST(Metrics, ProfiledChipEvaluation) {
   ProfiledChipConfig cc = ProfiledChipConfig::chip1();
   cc.rows = 512;
   ProfiledChip chip(cc);
-  const RobustResult at_vmin = robust_error_profiled(
-      *f.model, QuantScheme::rquant(8), f.data, chip, 1.0, 2);
+  const RobustResult at_vmin =
+      RobustnessEvaluator(*f.model, QuantScheme::rquant(8))
+          .run(ProfiledChipModel(chip, 1.0), f.data, 2);
   const float qerr = test_error(*f.model, f.data, nullptr);
   EXPECT_NEAR(at_vmin.mean_rerr, qerr, 0.1f);
   EXPECT_EQ(at_vmin.per_chip.size(), 2u);
@@ -123,13 +130,15 @@ TEST(Metrics, ProfiledChipEvaluation) {
 TEST(Metrics, LinfNoiseZeroEpsIsClean) {
   Fixture f(100);
   const float clean = test_error(*f.model, f.data);
-  const RobustResult r = linf_weight_noise_error(*f.model, f.data, 0.0, 3);
+  const RobustResult r =
+      RobustnessEvaluator(*f.model).run(LinfNoiseModel(0.0), f.data, 3);
   for (float e : r.per_chip) EXPECT_EQ(e, clean);
 }
 
 TEST(Metrics, LinfNoiseLargeEpsDegrades) {
   Fixture f(150);
-  const RobustResult r = linf_weight_noise_error(*f.model, f.data, 1.0, 3);
+  const RobustResult r =
+      RobustnessEvaluator(*f.model).run(LinfNoiseModel(1.0), f.data, 3);
   EXPECT_GT(r.mean_rerr, 0.5f);
 }
 
@@ -144,10 +153,7 @@ TEST(Metrics, LogitStatsConsistentWithEvaluate) {
 TEST(Metrics, SummaryStatsMeanStd) {
   // Hand-check mean/std aggregation through the p=0 + distinct-seed path.
   Fixture f(100);
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RobustResult r =
-      robust_error(*f.model, QuantScheme::rquant(8), f.data, cfg, 5);
+  const RobustResult r = random_rerr(f, QuantScheme::rquant(8), 0.02, 5);
   double mean = 0.0;
   for (float e : r.per_chip) mean += e;
   mean /= 5.0;

@@ -162,6 +162,36 @@ TEST(ObsRegistry, CanonicalKeysAndStableHandles) {
       std::invalid_argument);
 }
 
+TEST(ObsRegistry, ConcurrentRegistrationKeepsHandlesValid) {
+  // Threads register fresh keys (growing the registry) while resolving one
+  // shared counter on every step. A lookup must never hand out an
+  // instrument whose storage a concurrent registration can move or free.
+  constexpr int kThreads = 4, kKeys = 400;
+  obs::Counter& shared = obs::registry().counter("test_obs.race_shared");
+  const std::uint64_t before = shared.value();
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kKeys; ++i) {
+        obs::registry()
+            .counter("test_obs.race_key",
+                     {{"t", std::to_string(t)}, {"i", std::to_string(i)}})
+            .add(1);
+        obs::registry().counter("test_obs.race_shared").add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(&obs::registry().counter("test_obs.race_shared"), &shared);
+  EXPECT_EQ(shared.value() - before,
+            static_cast<std::uint64_t>(kThreads) * kKeys);
+  EXPECT_EQ(obs::registry()
+                .counter("test_obs.race_key", {{"t", "3"}, {"i", "399"}})
+                .value(),
+            1u);
+}
+
 TEST(ObsRegistry, SnapshotRoundTripsThroughJson) {
   obs::registry().counter("test_obs.rt_counter").add(42);
   obs::registry().gauge("test_obs.rt_gauge").set(2.5);

@@ -1,7 +1,8 @@
 // Serving-runtime tests: checkpoint round trips (plus BinaryReader
 // corruption defenses), the operating-point selection rule, replica
-// deploy/step-up bit-exactness, BatchQueue coalescing and concurrent-
-// producer correctness, and the HealthMonitor trip -> redeploy loop.
+// deploy/step-up bit-exactness (uniform random and profiled chips),
+// BatchQueue coalescing and concurrent-producer correctness, and the
+// HealthMonitor trip -> redeploy loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,14 @@
 #include <memory>
 #include <thread>
 
+#include "api/experiment.h"
+#include "api/registry.h"
+#include "api/spec.h"
 #include "core/serialize.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/profiled_chip_model.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "nn/init.h"
 #include "serve/batch_queue.h"
@@ -298,6 +304,81 @@ TEST(Replica, DeployMatchesManualInjection) {
   }
 }
 
+// A kind:"serve" spec with fault "profiled", shared by the two tests below:
+// a small chip-3 map so planning stays fast, an SLO loose enough that the
+// plan goes below Vmin.
+api::ExperimentSpec profiled_serve_spec() {
+  return api::ExperimentSpec::from_json(Json::parse(R"({
+    "name": "profiled_serve",
+    "kind": "serve",
+    "model": {
+      "dataset": {"name": "mnist", "n_train": 300, "n_test": 120},
+      "model": {"arch": "mlp", "width": 8},
+      "quant": {"scheme": "rquant", "bits": 8},
+      "train": {"method": "randbet", "wmax": 0.3, "p_train": 0.01,
+                "epochs": 3, "batch_size": 50}
+    },
+    "fault": {"model": "profiled", "chip": "chip3", "rows": 512, "cols": 64},
+    "eval": {"split": "test"},
+    "serve": {"voltages": [1.0, 0.9, 0.85, 0.8],
+              "slo": {"max_rerr": 1.0}, "n_chips": 2, "replicas": 2}
+  })"));
+}
+
+TEST(Replica, ProfiledFleetDeploysChipMappingsAtPlannedVoltage) {
+  // The spec's fault, built the way the Runner builds it, plans through the
+  // one persistent plan()/deploy_fleet() pair: rates follow the chip's own
+  // voltage curve, and replica r holds exactly mapping r's faults at the
+  // chosen voltage.
+  Served& s = Served::instance();
+  const api::ExperimentSpec spec = profiled_serve_spec();
+  OperatingPointPlanner planner(*s.model, s.scheme);
+  api::FaultContext ctx;
+  ctx.layout = &planner.evaluator().snapshot();
+  const auto fault = api::make_fault_model(
+      spec.fault.model, api::resolved_fault_params(spec, nullptr), ctx);
+  const auto& profiled = dynamic_cast<const ProfiledChipModel&>(*fault);
+  SloConfig slo;
+  slo.max_rerr = spec.serve.slo.max_rerr;
+  const OperatingPointPlan plan =
+      planner.plan(*fault, s.test_set, spec.serve.voltages, slo,
+                   spec.serve.n_chips);
+  ASSERT_EQ(plan.grid.size(), spec.serve.voltages.size());
+  for (const GridPoint& g : plan.grid) {
+    EXPECT_EQ(g.rate, profiled.chip().model_rate_at(g.voltage));
+  }
+  ASSERT_TRUE(plan.below_vmin);
+
+  std::vector<Replica> fleet =
+      planner.deploy_fleet(*fault, plan, spec.serve.replicas);
+  ASSERT_EQ(fleet.size(), 2u);
+  const ProfiledChipModel at_chosen(profiled.chip(),
+                                    plan.chosen_point().voltage);
+  const NetQuantizer quantizer(s.scheme);
+  for (int r = 0; r < 2; ++r) {
+    NetSnapshot snap = planner.evaluator().snapshot();
+    EXPECT_GT(at_chosen.apply(snap, static_cast<std::uint64_t>(r)), 0u);
+    auto reference = same_arch();
+    quantizer.write_dequantized(snap, reference->params());
+    expect_params_equal(fleet[static_cast<std::size_t>(r)].model(),
+                        *reference);
+  }
+}
+
+TEST(Replica, ProfiledServeSpecRunsEndToEnd) {
+  const api::Report report = api::Runner(profiled_serve_spec()).run();
+  const api::ServeReport& s = report.serve;
+  const SramEnergyModel curve = ProfiledChipConfig::chip3().rate_model;
+  ASSERT_EQ(s.plan.grid.size(), 4u);
+  for (const GridPoint& g : s.plan.grid) {
+    EXPECT_EQ(g.rate, curve.bit_error_rate(g.voltage));
+  }
+  EXPECT_TRUE(s.plan.feasible);
+  EXPECT_EQ(s.canary_errs.size(), 2u);
+  EXPECT_EQ(report.to_json().at("serve").at("fleet").at("replicas").as_int(),
+            2);
+}
+
 TEST(Replica, StepUpReusesListBitExactly) {
   Served& s = Served::instance();
   OperatingPointPlanner planner(*s.model, s.scheme);
@@ -562,9 +643,10 @@ TEST(ReplicaPool, ConcurrentProducersLoseNothingAndMatchSerial) {
   long per_replica_total = 0;
   for (long b : stats.per_replica_images) per_replica_total += b;
   EXPECT_EQ(per_replica_total, n_images);
-  EXPECT_GE(stats.p99_latency_us, stats.p50_latency_us);
-  EXPECT_GE(stats.p999_latency_us, stats.p99_latency_us);
-  EXPECT_GT(stats.p50_latency_us, 0.0);
+  const obs::Histogram::Snapshot lat = pool.latency_histogram().snapshot();
+  EXPECT_GE(lat.quantile(0.99), lat.quantile(0.50));
+  EXPECT_GE(lat.quantile(0.999), lat.quantile(0.99));
+  EXPECT_GT(lat.quantile(0.50), 0.0);
 
   // Every served request also landed in a per-replica registry histogram.
   std::uint64_t hist_count = 0;

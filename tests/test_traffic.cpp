@@ -16,6 +16,7 @@
 #include "core/rng.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "serve/planner.h"
 #include "serve/replica_pool.h"
