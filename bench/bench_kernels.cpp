@@ -24,6 +24,9 @@
 //                   paper-scale width-32 model (acceptance:
 //                   int8_end_to_end_speedup >= 1.5x), and delta-redeploy
 //                   weight-memory traffic vs a full deploy.
+//   * trace_disabled_overhead — cost of a BER_TRACE_SCOPE with tracing off,
+//                   as a ratio to a bare loop (smoke bound: < 3x). A
+//                   wall-clock ratio, so it lives here rather than in a test.
 //
 // Timings are wall-clock medians-of-one (~0.3s windows); the JSON also
 // carries the tile sizes and thread count so regressions are attributable.
@@ -366,6 +369,31 @@ int main() {
       int8_j.set("delta_redeploy", std::move(dj));
     }
     report.set("int8", std::move(int8_j));
+  }
+
+  // ---------------------------------------------------- trace overhead ---
+  // Disabled tracing must cost ~a relaxed load per scope: a loop with a
+  // BER_TRACE_SCOPE per iteration vs the same loop bare (smoke bound: the
+  // ratio stays under 3 on an idle machine).
+  {
+    constexpr int kIters = 2000000;
+    volatile long sink = 0;
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kIters; ++i) sink = sink + i;
+    const auto t1 = Clock::now();
+    for (int i = 0; i < kIters; ++i) {
+      BER_TRACE_SCOPE("bench", "off");
+      sink = sink + i;
+    }
+    const auto t2 = Clock::now();
+    const double plain = std::chrono::duration<double>(t1 - t0).count();
+    const double traced = std::chrono::duration<double>(t2 - t1).count();
+    Json tr = Json::object();
+    tr.set("iters", kIters);
+    tr.set("plain_ns_per_iter", plain * 1e9 / kIters);
+    tr.set("disabled_trace_ns_per_iter", traced * 1e9 / kIters);
+    tr.set("ratio", traced / plain);
+    report.set("trace_disabled_overhead", std::move(tr));
   }
 
   std::printf("%s\n", report.dump().c_str());

@@ -180,6 +180,7 @@ std::vector<RobustResult> RobustnessEvaluator::run_rate_sweep(
                BER_TRACE_SCOPE_ARGS("faults", "chip_trial", {"trial", trial});
                EvalMetrics& em = eval_metrics();
                em.trials.add(1);
+               const obs::ScopedTimerUs timer(em.trial_us);
                // One fault-list build per trial covers the whole grid; each
                // point keeps the subset of faults with u below its rate
                // (persistence).

@@ -32,8 +32,9 @@ constexpr long kMC = 120;   // multiple of every kMR above
 constexpr long kKC = 256;
 constexpr long kNC = 2048;  // multiple of every kNR above
 
-// Below this many FLOPs (2mnk) sharding costs more than it saves: thread
-// spawn + join in core/parallel is ~10us.
+// Below this many FLOPs (2mnk) sharding costs more than it saves: the
+// core/parallel pool's sleeping workers take ~30-50us to wake and finish
+// (measured on a 4-vCPU VM), against ~150us of serial work at 8e6 FLOPs.
 constexpr double kShardMinFlops = 8e6;
 
 // Packs an [mc x kc] block of A into kMR-row panels, zero-padded to kMR:
@@ -97,32 +98,49 @@ void micro_kernel(long kc, const float* __restrict ap,
   }
 }
 
-// The ic/jr/ir loops of the blocked nest over C rows [m0, m1) for one
-// already-packed [kc x nc] B panel. A panels are packed from this thread's
-// arena; shards own disjoint C rows, so no synchronization.
-void gemm_rows(long m0, long m1, long kc, const float* a, long a_is,
-               long a_ps, const float* bpack, float* c, long ldc, long jc,
-               long nc, float alpha, std::atomic<std::uint64_t>* pack_ns) {
+// The whole blocked nest over one C tile, rows [m0, m1) x columns [n0, n1).
+// B and A panels are packed into this thread's arena; tiles are disjoint,
+// so no synchronization. Each C element sums its KC blocks in order, and p
+// in order within a block, whatever the tile bounds (they are multiples of
+// kMR / kNR, so an element also keeps its lane in the register tile).
+// Returns the nanoseconds spent packing.
+std::uint64_t gemm_tile(long m0, long m1, long n0, long n1, long k,
+                        float alpha, const float* a, long a_is, long a_ps,
+                        const float* b, long b_ps, long b_js, float* c,
+                        long ldc) {
   Arena& arena = tls_arena();
   ArenaScope scope(arena);
+  const long nc_cap = std::min(kNC, ((n1 - n0 + kNR - 1) / kNR) * kNR);
+  float* bpack = arena.alloc(static_cast<std::size_t>(kKC * nc_cap));
   float* apack = arena.alloc(static_cast<std::size_t>(kMC * kKC));
-  for (long ic = m0; ic < m1; ic += kMC) {
-    const long mc = std::min(kMC, m1 - ic);
-    // Pack-time attribution: two clock reads per [MC x KC] block, far off
-    // the micro-kernel's inner loops.
-    const std::uint64_t t0 = obs::monotonic_ns();
-    pack_a(a + ic * a_is, a_is, a_ps, mc, kc, apack);
-    pack_ns->fetch_add(obs::monotonic_ns() - t0, std::memory_order_relaxed);
-    for (long jr = 0; jr < nc; jr += kNR) {
-      const long nr = std::min(kNR, nc - jr);
-      const float* bp = bpack + (jr / kNR) * (kc * kNR);
-      for (long ir = 0; ir < mc; ir += kMR) {
-        micro_kernel(kc, apack + (ir / kMR) * (kc * kMR), bp,
-                     c + (ic + ir) * ldc + jc + jr, ldc,
-                     std::min(kMR, mc - ir), nr, alpha);
+  std::uint64_t pack_ns = 0;
+  for (long jc = n0; jc < n1; jc += kNC) {
+    const long nc = std::min(kNC, n1 - jc);
+    for (long pc = 0; pc < k; pc += kKC) {
+      const long kc = std::min(kKC, k - pc);
+      // Pack-time attribution: two clock reads per packed panel, far off
+      // the micro-kernel's inner loops.
+      std::uint64_t t0 = obs::monotonic_ns();
+      pack_b(b + pc * b_ps + jc * b_js, b_ps, b_js, kc, nc, bpack);
+      pack_ns += obs::monotonic_ns() - t0;
+      for (long ic = m0; ic < m1; ic += kMC) {
+        const long mc = std::min(kMC, m1 - ic);
+        t0 = obs::monotonic_ns();
+        pack_a(a + ic * a_is + pc * a_ps, a_is, a_ps, mc, kc, apack);
+        pack_ns += obs::monotonic_ns() - t0;
+        for (long jr = 0; jr < nc; jr += kNR) {
+          const long nr = std::min(kNR, nc - jr);
+          const float* bp = bpack + (jr / kNR) * (kc * kNR);
+          for (long ir = 0; ir < mc; ir += kMR) {
+            micro_kernel(kc, apack + (ir / kMR) * (kc * kMR), bp,
+                         c + (ic + ir) * ldc + jc + jr, ldc,
+                         std::min(kMR, mc - ir), nr, alpha);
+          }
+        }
       }
     }
   }
+  return pack_ns;
 }
 
 }  // namespace
@@ -146,51 +164,42 @@ void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
   kstats.gemm_flops->add(2ull * static_cast<unsigned long long>(m) *
                          static_cast<unsigned long long>(n) *
                          static_cast<unsigned long long>(k));
-  std::atomic<std::uint64_t> pack_ns{0};
 
   // Sharding geometry. Inside an evaluator/serving worker (coarse-grained
   // parallelism already saturates the cores) auto mode stays serial instead
-  // of oversubscribing T^2; an explicit thread count is always honored.
-  const int threads =
-      threads_ > 0 ? threads_
-                   : (in_parallel_worker() ? 1 : default_threads());
+  // of oversubscribing T^2. One task per shard owns a band of C along the
+  // dimension with more register tiles — columns for the training shapes
+  // (m = 16..64 channels, n = batch * pixels) — rounded to the tile, and
+  // runs the whole nest over it: one dispatch per call. Results are
+  // bit-identical for any shard count (see gemm_tile).
   const double flops = 2.0 * static_cast<double>(m) * n * k;
-  const bool threaded =
-      threads > 1 && flops >= kShardMinFlops && m >= 2 * kMR;
-  // Contiguous row shards rounded to the register tile; each C element's
-  // accumulation order is shard-independent (the pc loop below is outside
-  // the row split), so results are bit-identical for any shard count.
-  const long per = (m + threads - 1) / threads;
-  const long step = ((per + kMR - 1) / kMR) * kMR;
-  const long shards = (m + step - 1) / step;
+  const int threads = flops < kShardMinFlops ? 1
+                      : threads_ > 0         ? threads_
+                      : in_parallel_worker() ? 1
+                                             : default_threads();
+  const long m_tiles = (m + kMR - 1) / kMR;
+  const long n_tiles = (n + kNR - 1) / kNR;
+  const bool split_n = n_tiles >= m_tiles;
+  const long tiles = split_n ? n_tiles : m_tiles;
+  const long want = std::min<long>(threads, tiles);
+  const long step = ((tiles + want - 1) / want) * (split_n ? kNR : kMR);
+  const long extent = split_n ? n : m;
+  const long shards = (extent + step - 1) / step;
 
-  Arena& arena = tls_arena();
-  ArenaScope scope(arena);
-  const long nc_cap = std::min(kNC, ((n + kNR - 1) / kNR) * kNR);
-  float* bpack = arena.alloc(static_cast<std::size_t>(kKC * nc_cap));
-
-  for (long jc = 0; jc < n; jc += kNC) {
-    const long nc = std::min(kNC, n - jc);
-    for (long pc = 0; pc < k; pc += kKC) {
-      const long kc = std::min(kKC, k - pc);
-      // B is packed ONCE per (jc, pc) panel, on the caller; row shards only
-      // read it (arena chunks never move, so the pointer stays valid).
-      const std::uint64_t t0 = obs::monotonic_ns();
-      pack_b(b + pc * b_ps + jc * b_js, b_ps, b_js, kc, nc, bpack);
-      pack_ns.fetch_add(obs::monotonic_ns() - t0, std::memory_order_relaxed);
-      const float* a_panel = a + pc * a_ps;
-      if (threaded) {
-        parallel_for(shards, threads, [&](std::int64_t s) {
-          const long lo = s * step;
-          const long hi = std::min(m, lo + step);
-          gemm_rows(lo, hi, kc, a_panel, a_is, a_ps, bpack, c, n, jc, nc,
-                    alpha, &pack_ns);
-        });
-      } else {
-        gemm_rows(0, m, kc, a_panel, a_is, a_ps, bpack, c, n, jc, nc, alpha,
-                  &pack_ns);
-      }
-    }
+  std::atomic<std::uint64_t> pack_ns{0};
+  const auto task = [&](std::int64_t s) {
+    const long lo = s * step;
+    const long hi = std::min(extent, lo + step);
+    pack_ns.fetch_add(
+        gemm_tile(split_n ? 0 : lo, split_n ? m : hi, split_n ? lo : 0,
+                  split_n ? hi : n, k, alpha, a, a_is, a_ps, b, b_ps, b_js, c,
+                  n),
+        std::memory_order_relaxed);
+  };
+  if (shards > 1) {
+    parallel_for(shards, static_cast<int>(shards), task);
+  } else {
+    task(0);
   }
   kstats.pack_ns->add(pack_ns.load(std::memory_order_relaxed));
 }

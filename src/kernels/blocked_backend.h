@@ -7,11 +7,15 @@
 // routine parameterized by source strides serves all three variants
 // (gemm / gemm_at / gemm_bt) — a transpose is just a different stride pair.
 //
+// Threading: one core/parallel dispatch per call. Each task owns a band of
+// C — columns or rows, whichever dimension has more register tiles, with
+// band edges on tile boundaries — and runs the whole blocked nest over it,
+// packing its own B and A panels from its own (warm, per-thread) arena.
+//
 // Determinism: for fixed (m, n, k), every C element is accumulated in the
-// same order regardless of shard count — KC blocks in sequence, then
-// sequential p within a block — so the optional intra-GEMM sharding over
-// core/parallel (contiguous row ranges of C) is bit-identical to the
-// single-threaded result for ANY thread count. Results differ from the
+// same order regardless of the band split — KC blocks in sequence, then
+// sequential p within a block — so the threaded result is bit-identical to
+// the single-threaded one for ANY thread count. Results differ from the
 // reference backend only in summation order (and FMA contraction when the
 // translation unit is compiled with -march=native); parity is within ~1e-4
 // relative error, tested in tests/test_kernels.cpp.
@@ -23,8 +27,9 @@ namespace ber::kernels {
 
 class BlockedBackend final : public Backend {
  public:
-  // threads == 0: use default_threads() at call time. Sharding only kicks
-  // in above a FLOP threshold, so small GEMMs never pay thread spawns.
+  // threads == 0: use default_threads() at call time, or one thread on a
+  // parallel worker. Sharding only kicks in above a FLOP threshold, so
+  // small GEMMs never pay a pool dispatch.
   explicit BlockedBackend(int threads = 0) : threads_(threads) {}
 
   std::string name() const override { return "blocked"; }

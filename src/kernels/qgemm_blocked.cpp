@@ -560,6 +560,11 @@ void BlockedBackend::qconv(const ConvShape& s, const float* x,
     Backend::qconv(s, x, w, ep, y);  // scalar oracle (bits > 8 / degenerate)
     return;
   }
+  // The whole batch-wide GEMM once; the oracle above tallies through its
+  // per-image qgemm calls instead.
+  kstats().qgemm_flops->add(2ull * static_cast<unsigned long long>(w.rows) *
+                            static_cast<unsigned long long>(w.cols) *
+                            static_cast<unsigned long long>(ld));
   Arena& arena = tls_arena();
   ArenaScope scope(arena);
   const long k4 = (w.cols + 3) / 4;

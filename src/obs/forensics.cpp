@@ -52,10 +52,13 @@ void FaultLedger::record_apply(std::vector<FlipRecord>&& records,
   const detail::TrialContext& ctx = detail::trial_context();
   if (!forensics_enabled() || ctx.profile == nullptr) return;
   for (FlipRecord& r : records) r.token = ctx.token;
-  // Resolved here, not at namespace scope: the forensics.* keys must not
-  // exist in the registry unless forensics actually recorded something.
-  registry().counter("forensics.flips").add(records.size());
-  registry().counter("forensics.words_changed").add(words_changed);
+  // Resolved on the first recorded apply, not at namespace scope: the
+  // forensics.* keys must not exist in the registry unless forensics
+  // actually recorded something. Registry handles live for the process.
+  static Counter& flips = registry().counter("forensics.flips");
+  static Counter& changed = registry().counter("forensics.words_changed");
+  flips.add(records.size());
+  changed.add(words_changed);
   std::lock_guard<std::mutex> lock(mu_);
   ProfileData& pd = profiles_[ctx.profile];
   pd.totals.flips += records.size();

@@ -12,6 +12,8 @@
 //   kernels.conv_calls / kernels.conv_images     conv forward lowerings
 //   kernels.im2col_bytes                         column-matrix bytes built
 //   kernels.qgemm_calls / kernels.qgemm_flops    quantized GEMM on codes
+//                                                (a qconv adds its FLOPs,
+//                                                2*OC*IC*k^2*N*OH*OW)
 //   kernels.qconv_calls / kernels.qconv_images   quantized conv forward
 //   kernels.pack_ns                              A/B panel packing time
 // plus the unlabeled gauge kernels.arena_hwm_bytes — the largest per-thread

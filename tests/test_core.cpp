@@ -1,11 +1,15 @@
-// Tests for core utilities: RNG, stateless hash, parallel_for, serialization
-// and the table printer.
+// Tests for core utilities: RNG, stateless hash, parallel_for and its
+// persistent pool (nesting, concurrent callers, chunking, worker marks,
+// exceptions), serialization and the table printer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/env.h"
 #include "core/hash.h"
@@ -13,6 +17,7 @@
 #include "core/rng.h"
 #include "core/serialize.h"
 #include "core/table.h"
+#include "test_util.h"
 
 namespace ber {
 namespace {
@@ -149,6 +154,83 @@ TEST(Parallel, EmptyRange) {
 TEST(Parallel, MoreThreadsThanWork) {
   std::vector<std::atomic<int>> hits(3);
   parallel_for(3, 16, [&](std::int64_t i) { hits[i]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, NestedCallFromWorkerRunsInline) {
+  constexpr int kOuter = 4, kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign{0};
+  parallel_for(kOuter, kOuter, [&](std::int64_t o) {
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for(kInner, 4, [&](std::int64_t i) {
+      hits[o * kInner + i]++;
+      if (std::this_thread::get_id() != self) foreign++;
+    });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign.load(), 0) << "a nested call left its calling thread";
+}
+
+TEST(Parallel, ConcurrentExternalCallersBothComplete) {
+  // Whichever caller finds the pool busy runs inline; neither may block.
+  constexpr int kReps = 50;
+  const auto caller = [](std::vector<std::atomic<int>>* hits) {
+    for (int r = 0; r < kReps; ++r) {
+      parallel_for(static_cast<std::int64_t>(hits->size()), 4,
+                   [&](std::int64_t i) { (*hits)[i]++; });
+    }
+  };
+  std::vector<std::atomic<int>> a(1000), b(777);
+  std::thread ta(caller, &a), tb(caller, &b);
+  ta.join();
+  tb.join();
+  for (auto& h : a) EXPECT_EQ(h.load(), kReps);
+  for (auto& h : b) EXPECT_EQ(h.load(), kReps);
+}
+
+TEST(Parallel, MoreThreadsThanPoolKeepsChunkBoundaries) {
+  // Chunks stay contiguous index ranges fixed by (n, threads), even when
+  // one participant has to run several of them.
+  const int threads = 8 * default_threads() + 3;
+  const std::int64_t n = 1000;
+  const std::int64_t chunk = (n + threads - 1) / threads;
+  std::vector<std::atomic<int>> hits(n);
+  std::vector<std::thread::id> owner(n);
+  parallel_for(n, threads, [&](std::int64_t i) {
+    hits[i]++;
+    owner[i] = std::this_thread::get_id();
+  });
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i].load(), 1);
+    EXPECT_EQ(owner[i], owner[(i / chunk) * chunk]) << "chunk split at " << i;
+  }
+}
+
+TEST(Parallel, CallerChunkSeesWorkerMark) {
+  const int participants = default_threads();
+  if (participants < 2) GTEST_SKIP() << "single-threaded pool";
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> caller_chunks{0}, marked{0};
+  EXPECT_FALSE(in_parallel_worker());
+  ASSERT_TRUE(test::run_on_each_participant(participants, [&] {
+    if (std::this_thread::get_id() == caller) caller_chunks++;
+    if (in_parallel_worker()) marked++;
+  }));
+  EXPECT_EQ(caller_chunks.load(), 1);
+  EXPECT_EQ(marked.load(), participants);
+  EXPECT_FALSE(in_parallel_worker());
+}
+
+TEST(Parallel, ExceptionReachesCallerAndPoolSurvives) {
+  EXPECT_THROW(parallel_for(100, 4,
+                            [](std::int64_t i) {
+                              if (i == 57) throw std::runtime_error("chunk");
+                            }),
+               std::runtime_error);
+  EXPECT_FALSE(in_parallel_worker());
+  std::vector<std::atomic<int>> hits(100);
+  parallel_for(100, 4, [&](std::int64_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

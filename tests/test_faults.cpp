@@ -19,6 +19,7 @@
 #include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "nn/init.h"
+#include "obs/metrics.h"
 #include "quant/net_quantizer.h"
 
 namespace ber {
@@ -259,7 +260,11 @@ TEST(RobustnessEvaluator, VoltageSweepMatchesIndividualRuns) {
   std::vector<double> rates;
   for (double v : grid) rates.push_back(fault.rate_at_voltage(v));
   const RobustnessEvaluator evaluator(*f.model, scheme);
+  obs::Histogram& trial_us = obs::registry().histogram("faults.trial_us");
+  const std::uint64_t timed0 = trial_us.snapshot().count;
   const auto sweep = evaluator.run_rate_sweep(fault, rates, f.data, 4);
+  // Every chip trial of the sweep is timed, as on the run() path.
+  EXPECT_EQ(trial_us.snapshot().count - timed0, 4u);
   ASSERT_EQ(sweep.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const RobustResult single =

@@ -1,12 +1,16 @@
 // Tests for the src/kernels/ compute-backend subsystem: registry + env
 // selection, scratch arena reuse, blocked-vs-reference GEMM parity on
-// odd/edge shapes, threaded-GEMM determinism, batch-coalesced convolution
+// odd/edge shapes, threaded-GEMM determinism (square and skinny training
+// shapes) and warm worker arenas, batch-coalesced convolution
 // parity (forward and backward), per-model backend preferences, and the
 // inference-mode backward-cache release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "ber.h"
@@ -223,8 +227,9 @@ TEST(BlockedGemm, ParityTransposedVariants) {
 }
 
 TEST(BlockedGemm, ThreadedShardingIsBitIdentical) {
-  // The row-sharded path must be bit-identical to single-threaded blocked
-  // for any shard count: each C element's k-summation order is fixed.
+  // The sharded path (row bands here: m has more tiles than n) must be
+  // bit-identical to single-threaded blocked for any shard count: each C
+  // element's k-summation order is fixed.
   Rng rng(13);
   const long m = 150, n = 130, k = 530;  // k spans three KC blocks
   Tensor a = Tensor::randn({m, k}, rng);
@@ -239,8 +244,87 @@ TEST(BlockedGemm, ThreadedShardingIsBitIdentical) {
   }
 }
 
+TEST(BlockedGemm, SkinnyTrainingShapesBitIdenticalAcrossThreadCounts) {
+  // Conv-training-like GEMMs: m = 16 output channels, and a long n (forward,
+  // input gradient) or a long k (weight gradient) — column bands, k well
+  // above KC, nothing a tile multiple. Every variant, 1..4 threads, with
+  // beta = 1 so the bands also accumulate into a pre-filled C.
+  struct Shape {
+    long m, n, k;
+  };
+  const std::vector<Shape> shapes{{16, 2051, 611}, {16, 147, 2309}};
+  Rng rng(15);
+  for (const Shape& s : shapes) {
+    const Tensor a = Tensor::randn({s.m, s.k}, rng);    // A, or A^T for at
+    const Tensor at = Tensor::randn({s.k, s.m}, rng);
+    const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    const Tensor bt = Tensor::randn({s.n, s.k}, rng);
+    const Tensor c0 = Tensor::randn({s.m, s.n}, rng);
+    const auto run = [&](int threads, int variant) {
+      const BlockedBackend bk(threads);
+      Tensor c = c0;
+      if (variant == 0) {
+        bk.gemm(s.m, s.n, s.k, 0.5f, a.data(), b.data(), 1.0f, c.data());
+      } else if (variant == 1) {
+        bk.gemm_at(s.m, s.n, s.k, 0.5f, at.data(), b.data(), 1.0f, c.data());
+      } else {
+        bk.gemm_bt(s.m, s.n, s.k, 0.5f, a.data(), bt.data(), 1.0f, c.data());
+      }
+      return c;
+    };
+    for (int variant = 0; variant < 3; ++variant) {
+      const Tensor serial = run(1, variant);
+      for (int threads = 2; threads <= 4; ++threads) {
+        const Tensor sharded = run(threads, variant);
+        for (long i = 0; i < serial.numel(); ++i) {
+          ASSERT_EQ(serial[i], sharded[i])
+              << "variant " << variant << " threads " << threads << " shape "
+              << s.m << "x" << s.n << "x" << s.k << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedGemm, WorkerArenasStayFlatAcrossRepeatedThreadedGemms) {
+  // No heap allocation after warm-up on the threaded path: pool workers
+  // persist, so their scratch arenas do too. Warm every participant by
+  // running the GEMM on it (a nested call runs all bands inline, each with
+  // exactly a pool task's arena demand), then check that 20 threaded calls
+  // leave every participant's arena capacity unchanged.
+  const int participants = default_threads();
+  if (participants < 2) GTEST_SKIP() << "single-threaded pool";
+  const long m = 16, n = BlockedBackend::nr() * participants * 8, k = 773;
+  Rng rng(16);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const BlockedBackend bk(participants);
+  const auto gemm = [&] {
+    Tensor c({m, n});
+    bk.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  };
+  const auto capacities = [&](bool warm) {
+    std::mutex mu;
+    std::map<std::thread::id, std::size_t> caps;
+    EXPECT_TRUE(test::run_on_each_participant(participants, [&] {
+      if (warm) gemm();
+      const std::lock_guard<std::mutex> lock(mu);
+      caps[std::this_thread::get_id()] = kernels::tls_arena().capacity();
+    }));
+    return caps;
+  };
+  const std::map<std::thread::id, std::size_t> warm = capacities(true);
+  ASSERT_EQ(warm.size(), static_cast<std::size_t>(participants));
+  for (int rep = 0; rep < 20; ++rep) {
+    gemm();
+    ASSERT_EQ(capacities(false), warm) << "an arena grew, or a pool thread "
+                                          "was replaced, at rep "
+                                       << rep;
+  }
+}
+
 TEST(BlockedGemm, WorkerMarkerKeepsAutoShardingSerial) {
-  // parallel_for worker threads are marked so the blocked backend's auto
+  // parallel_for participants are marked so the blocked backend's auto
   // thread mode ("blocked" in the registry, threads=0) stays serial inside
   // evaluator/serving workers instead of oversubscribing T^2.
   EXPECT_FALSE(in_parallel_worker());

@@ -3,15 +3,45 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "nn/layer.h"
 #include "nn/sequential.h"
 #include "tensor/tensor.h"
 
 namespace ber::test {
+
+// Runs fn once on each of `participants` distinct threads of one
+// parallel_for call (the caller plus pool workers): every chunk waits until
+// all participants hold one, so no thread can take a second. Returns false
+// when they did not all arrive within the timeout (a pool smaller than
+// `participants`); fn still runs on every chunk's thread.
+inline bool run_on_each_participant(int participants,
+                                    const std::function<void()>& fn) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool all = true;
+  parallel_for(participants, participants, [&](std::int64_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return arrived >= participants; })) {
+        all = false;
+      }
+    }
+    fn();
+  });
+  return all;
+}
 
 // Scalar loss used for gradient checks: weighted sum of outputs with fixed
 // pseudo-random weights, so every output element contributes.
