@@ -2,7 +2,7 @@
 //
 // Compares, at p in {1e-4, 1e-3, 1e-2}:
 //   * scalar  — the seed per-(weight,bit) scalar loop
-//     (inject_random_bit_errors_scalar), one hash per coordinate;
+//     (inject_random_bit_errors), one hash per coordinate;
 //   * build   — constructing a ChipFaultList (the once-per-chip hash sweep);
 //   * apply   — applying a prebuilt ChipFaultList (the steady-state cost the
 //     evaluator pays per batch / voltage / rate of a trial);
@@ -13,10 +13,10 @@
 // Emits a single JSON object (core/json) on stdout so future PRs can track
 // the hot path; `apply_speedup_vs_scalar` is the acceptance number (>= 5x at
 // p <= 1e-2).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "bench_util.h"
 #include "biterror/injector.h"
 #include "core/json.h"
 #include "core/parallel.h"
@@ -26,7 +26,7 @@
 namespace {
 
 using namespace ber;
-using Clock = std::chrono::steady_clock;
+using bench::seconds_per_call;
 
 constexpr std::size_t kWeights = 2'000'000;
 constexpr int kBits = 8;
@@ -39,22 +39,6 @@ NetSnapshot make_snapshot() {
   snap.tensors.push_back(quantize(w, QuantScheme::rquant(kBits)));
   snap.offsets.push_back(0);
   return snap;
-}
-
-// Runs fn repeatedly until ~0.3s elapsed (at least twice); returns seconds
-// per call.
-template <typename Fn>
-double seconds_per_call(const Fn& fn) {
-  fn();  // warm-up
-  int iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 0.3 || iters < 2);
-  return elapsed / iters;
 }
 
 }  // namespace
@@ -75,7 +59,7 @@ int main() {
     cfg.p = p;  // default flip-only mix: injection is an involution, so
                 // repeated in-place application is safe for timing.
     const double scalar_sec = seconds_per_call(
-        [&] { inject_random_bit_errors_scalar(snap, cfg, /*chip=*/7); });
+        [&] { inject_random_bit_errors(snap, cfg, /*chip=*/7); });
     const double build_sec = seconds_per_call(
         [&] { ChipFaultList list(snap, cfg, /*chip_seed=*/7, p); });
     const double build_mt_sec = seconds_per_call(

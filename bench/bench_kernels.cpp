@@ -35,27 +35,13 @@
 #include <vector>
 
 #include "ber.h"
+#include "bench_util.h"
 
 namespace {
 
 using namespace ber;
 using Clock = std::chrono::steady_clock;
-
-// Runs fn repeatedly until ~0.3s elapsed (at least twice); returns seconds
-// per call.
-template <typename Fn>
-double seconds_per_call(const Fn& fn) {
-  fn();  // warm-up (also converges the scratch arena)
-  int iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 0.3 || iters < 2);
-  return elapsed / iters;
-}
+using bench::seconds_per_call;
 
 double gflops(long m, long n, long k, double sec) {
   return 2.0 * static_cast<double>(m) * n * k / sec / 1e9;

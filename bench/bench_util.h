@@ -7,6 +7,7 @@
 // same Runner code path (bit-identical for a fixed seed).
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,24 @@ std::vector<RobustResult> rerr_sweep(const std::string& name,
 
 // Formats "mean ±std" of a RobustResult in %.
 std::string fmt_rerr(const RobustResult& r);
+
+// Runs fn repeatedly until ~0.3s elapsed (at least twice, after one
+// warm-up call that also converges scratch arenas); returns seconds per
+// call.
+template <typename Fn>
+double seconds_per_call(const Fn& fn) {
+  using Clock = std::chrono::steady_clock;
+  fn();
+  int iters = 0;
+  const auto start = Clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+  } while (elapsed < 0.3 || iters < 2);
+  return elapsed / iters;
+}
 
 // Standard p grids (in %), matching the paper's columns.
 const std::vector<double>& c10_p_grid();    // 0.01 .. 2.5

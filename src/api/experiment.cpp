@@ -133,8 +133,8 @@ Runner::Runner(ExperimentSpec spec) : spec_(std::move(spec)) {
 
 const Dataset& Runner::dataset(const DatasetSection& section, bool train) {
   // One keyed store for the whole process (data/store.h): an inline spec
-  // model and a zoo model naming the same data share a materialization, and
-  // file-backed sources stream through the prefetch pipeline in load_split.
+  // model and a zoo model naming the same data share a materialization;
+  // load_split reads file-backed sources in full on the first request.
   data::SourceSpec src{section.source, section.path, section.config};
   return data::dataset_store().get(
       data::dataset_key(src, train ? "train" : "test"),

@@ -280,12 +280,6 @@ std::size_t ChipFaultList::apply_delta(NetSnapshot& cur,
 std::size_t inject_random_bit_errors(NetSnapshot& snap,
                                      const BitErrorConfig& config,
                                      std::uint64_t chip_seed) {
-  return inject_random_bit_errors_scalar(snap, config, chip_seed);
-}
-
-std::size_t inject_random_bit_errors_scalar(NetSnapshot& snap,
-                                            const BitErrorConfig& config,
-                                            std::uint64_t chip_seed) {
   config.validate();
   // Same forensics contract as ChipFaultList::apply — this is the path
   // RandomBitErrorModel::apply takes through RobustnessEvaluator::run().

@@ -21,9 +21,11 @@
 //     O(p_max*W*m): the faults at p are exactly the entries with u < p.
 //     Evaluators reuse one list across every batch / voltage / rate of a
 //     trial, which is where the throughput win comes from.
-//   * inject_random_bit_errors_scalar — the original per-(weight,bit)
-//     scalar loop, kept as the bit-exactness reference for tests and the
-//     injection microbenchmark.
+//   * inject_random_bit_errors — one in-place scalar pass hashing every
+//     (weight, bit) coordinate; the one-shot path for callers that use
+//     each chip once (RandomBitErrorModel, redundancy evaluation) and the
+//     bit-exactness reference for ChipFaultList tests and the injection
+//     microbenchmark.
 // Both paths consume the same hash stream, so they produce byte-identical
 // snapshots for a fixed chip seed.
 #pragma once
@@ -149,22 +151,14 @@ class ChipFaultList {
   std::vector<int> tensor_bits_;
 };
 
-// Injects bit errors into all tensors of the snapshot. Only the low
+// Injects bit errors into all tensors of the snapshot in one in-place
+// scalar pass (one hash per (weight, bit) coordinate). Only the low
 // `scheme.bits` of each code participate. Returns the number of code words
-// that changed. One-shot convenience (a single in-place scalar pass — the
-// right tool when every call uses a fresh chip, like the RandBET trainer);
-// build a ChipFaultList instead when one chip's faults are reused across
-// batches or rates.
+// that changed. Build a ChipFaultList instead when one chip's faults are
+// reused across batches or rates, as the RandBET trainer does.
 std::size_t inject_random_bit_errors(NetSnapshot& snap,
                                      const BitErrorConfig& config,
                                      std::uint64_t chip_seed);
-
-// The scalar injection loop itself (one hash per (weight, bit) coordinate,
-// applied in place) — also the bit-exactness reference for ChipFaultList
-// tests and the bench_injection baseline.
-std::size_t inject_random_bit_errors_scalar(NetSnapshot& snap,
-                                            const BitErrorConfig& config,
-                                            std::uint64_t chip_seed);
 
 // Applies one cell's fault to bit j of a code word; returns the new code.
 std::uint16_t apply_fault(std::uint16_t code, int bit, FaultType type);

@@ -4,7 +4,6 @@
 
 #include "data/cifar.h"
 #include "data/idx.h"
-#include "data/prefetch.h"
 #include "data/shard.h"
 
 namespace ber::data {
@@ -86,7 +85,7 @@ Json source_layouts() {
         "test_batch.bin (CIFAR-10 binary version)");
   j.set("shard",
         "path = dir with train.bers + test.bers (pack with the ber_data "
-        "tool); streamed through the prefetch pipeline");
+        "tool); memory-mapped and copied into RAM");
   return j;
 }
 
@@ -97,14 +96,8 @@ Dataset load_split(const SourceSpec& spec, bool train) {
   }
   const long cap = train ? spec.synthetic.n_train : spec.synthetic.n_test;
   if (spec.source == "shard") {
-    // The streaming path: zero-copy records out of the mapping, assembled
-    // into chunks by the background producer. Depth 0 (BER_PREFETCH_DEPTH)
-    // degenerates to the eager path through the same code; contents are
-    // bit-identical either way.
-    const ShardReader reader(split_files("shard", spec.path, train).front());
-    const ShardSource source(reader);
-    const HeadSource head(source, cap);
-    return materialize(head, prefetch_depth(), prefetch_chunk());
+    return ShardReader(split_files("shard", spec.path, train).front())
+        .to_dataset(cap);
   }
   Dataset d = spec.source == "idx"
                   ? load_idx_dir(spec.path, train)

@@ -3,9 +3,8 @@
 // A source says WHERE records come from (synthetic | idx | cifar10 | shard);
 // the dataset name/preset says what they look like. load_split() is the one
 // funnel every consumer uses — Runner, zoo, ber_data — so file-backed and
-// procedural data flow through identical code, and the shard path streams
-// through the async prefetch pipeline (data/prefetch.h) sized by the
-// BER_PREFETCH_DEPTH / BER_PREFETCH_CHUNK knobs.
+// procedural data flow through identical code. A shard split is mapped
+// read-only and copied into RAM by ShardReader::to_dataset (data/shard.h).
 #pragma once
 
 #include <string>

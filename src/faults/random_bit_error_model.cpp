@@ -49,7 +49,7 @@ std::size_t RandomBitErrorModel::apply(NetSnapshot& snap,
                                        std::uint64_t trial) const {
   // Single-rate, fresh-chip injection: the one-shot scalar pass wins (no
   // list to amortize). Sweeps go through fault_list() instead.
-  return inject_random_bit_errors_scalar(snap, config_, seed_base_ + trial);
+  return inject_random_bit_errors(snap, config_, seed_base_ + trial);
 }
 
 ChipFaultList RandomBitErrorModel::fault_list(const NetSnapshot& layout,

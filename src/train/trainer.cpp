@@ -4,15 +4,16 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 
 #include "biterror/injector.h"
 #include "core/hash.h"
 #include "core/rng.h"
-#include "data/prefetch.h"
 #include "eval/metrics.h"
 #include "kernels/backend.h"
 #include "nn/init.h"
 #include "nn/loss.h"
+#include "obs/metrics.h"
 #include "quant/net_quantizer.h"
 
 namespace ber {
@@ -47,6 +48,9 @@ TrainStats train(Sequential& model, const Dataset& train_set,
   // thread-scoped override covers the whole run.
   std::optional<kernels::ScopedBackend> backend_guard;
   if (!config.backend.empty()) backend_guard.emplace(config.backend);
+  if (config.batch_size < 1) {
+    throw std::invalid_argument("train: batch_size must be >= 1");
+  }
   Rng rng(config.seed);
   he_init(model, rng);
   const std::vector<Param*> params = model.params();
@@ -60,6 +64,8 @@ TrainStats train(Sequential& model, const Dataset& train_set,
   const long n = train_set.size();
   std::vector<long> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0L);
+  static obs::Counter& batches_produced =
+      obs::registry().counter("data.batches_produced");
 
   TrainStats out;
   const bool uses_bit_errors =
@@ -85,23 +91,26 @@ TrainStats train(Sequential& model, const Dataset& train_set,
     double loss_sum = 0.0;
     long correct = 0, seen = 0;
 
-    // Gather shuffled batches through the prefetch pipeline: the producer
-    // thread assembles the next batches while this thread runs the passes.
-    // Gathering consumes no RNG and the epoch order is fixed above, so the
-    // batch stream is bit-identical to the inline gather for any depth
-    // (BER_PREFETCH_DEPTH=0 produces synchronously through the same code).
-    const data::DatasetSource batch_source(train_set);
-    data::PrefetchConfig prefetch;
-    prefetch.chunk_images = config.batch_size;
-    prefetch.depth = data::prefetch_depth();
-    prefetch.order = order;
-    data::PrefetchPipeline batches(batch_source, prefetch);
+    Tensor batch_images;
+    std::vector<int> batch_labels;
 
-    data::DataChunk chunk;
-    while (batches.next(chunk)) {
-      Tensor& batch_images = chunk.images;
-      std::vector<int>& batch_labels = chunk.labels;
-      const long b = batch_images.shape(0);
+    for (long start = 0; start < n; start += config.batch_size) {
+      const long b = std::min<long>(config.batch_size, n - start);
+      // Gather the shuffled batch.
+      const long stride =
+          train_set.channels() * train_set.height() * train_set.width();
+      batch_images = Tensor({b, train_set.channels(), train_set.height(),
+                             train_set.width()});
+      batch_labels.resize(static_cast<std::size_t>(b));
+      for (long i = 0; i < b; ++i) {
+        const long src = order[static_cast<std::size_t>(start + i)];
+        std::copy(train_set.images.data() + src * stride,
+                  train_set.images.data() + (src + 1) * stride,
+                  batch_images.data() + i * stride);
+        batch_labels[static_cast<std::size_t>(i)] =
+            train_set.labels[static_cast<std::size_t>(src)];
+      }
+      batches_produced.add(1);
       augment_batch(batch_images, config.augment, rng);
 
       // Projection before quantization (Alg. 1 line 6).

@@ -1,22 +1,21 @@
-// Streaming dataset subsystem tests (src/data/): golden-fixture parses for
-// the IDX and CIFAR-10 readers, hardening against corrupt files, BERS shard
-// round-trips, prefetch-pipeline determinism across depths / consumer
-// timing / BER_THREADS, and the end-to-end guarantee the whole subsystem
-// exists for — a shard-sourced Runner report is bit-identical to the eager
-// synthetic path for any prefetch depth.
+// Dataset subsystem tests (src/data/): golden-fixture parses for the IDX
+// and CIFAR-10 readers, hardening against corrupt files, BERS shard
+// round-trips, seeded byte mutations of every untrusted input format, and
+// the end-to-end guarantee the whole subsystem exists for — a shard-sourced
+// Runner report is bit-identical to the same records generated in memory.
 //
 // Fixture bytes are generated by tests/fixtures/make_fixtures.py; expected
 // values here mirror that script — change one, change both.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ber.h"
@@ -266,110 +265,132 @@ TEST(Shard, OpenValidationCatchesCorruption) {
   fs::remove_all(dir);
 }
 
-// -------------------------------------------------------------- prefetch ---
+// -------------------------------------------------------------- mutation ---
 
-// Flattens the whole chunk stream into one comparable blob.
-struct StreamDump {
-  std::vector<float> pixels;
-  std::vector<int> labels;
-  std::vector<long> chunk_sizes;
-  bool operator==(const StreamDump&) const = default;
-};
-
-StreamDump drain(const data::RecordSource& src, data::PrefetchConfig cfg,
-                 bool slow_consumer) {
-  data::PrefetchPipeline pipe(src, cfg);
-  StreamDump out;
-  data::DataChunk chunk;
-  long expect_index = 0;
-  while (pipe.next(chunk)) {
-    EXPECT_EQ(chunk.index, expect_index++);  // FIFO, no reordering
-    out.pixels.insert(out.pixels.end(), chunk.images.data(),
-                      chunk.images.data() + chunk.images.numel());
-    out.labels.insert(out.labels.end(), chunk.labels.begin(),
-                      chunk.labels.end());
-    out.chunk_sizes.push_back(chunk.images.shape(0));
-    if (slow_consumer) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+// Seeded byte mutations of a known-good input: one to three edits (a bit
+// flip, a random byte, or a 4-byte word in the first 64 bytes, where counts
+// and dimensions live, set to all 0x00, 0x7f or 0xff bytes), then a
+// truncation one time in eight.
+std::vector<unsigned char> mutate(std::vector<unsigned char> bytes, Rng& rng) {
+  const int size = static_cast<int>(bytes.size());
+  const int edits = rng.uniform_int(1, 3);
+  for (int e = 0; e < edits; ++e) {
+    const int at = rng.uniform_int(0, size - 1);
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        bytes[at] ^= static_cast<unsigned char>(1u << rng.uniform_int(0, 7));
+        break;
+      case 1:
+        bytes[at] = static_cast<unsigned char>(rng.uniform_int(0, 255));
+        break;
+      default: {
+        const int word = rng.uniform_int(0, std::min(size, 64) / 4 - 1) * 4;
+        const unsigned char fills[3] = {0x00, 0x7f, 0xff};
+        std::memset(bytes.data() + word, fills[rng.uniform_int(0, 2)], 4);
+      }
     }
   }
-  EXPECT_EQ(expect_index, pipe.chunks());
-  return out;
+  if (rng.uniform_int(0, 7) == 0) {
+    bytes.resize(static_cast<std::size_t>(rng.uniform_int(0, size - 1)));
+  }
+  return bytes;
 }
 
-TEST(Prefetch, BitIdenticalAcrossDepthTimingAndThreads) {
-  SyntheticConfig cfg = SyntheticConfig::cifar10();
-  cfg.n_train = 103;  // deliberately not a multiple of the chunk size
-  const Dataset d = make_synthetic(cfg, true);
-  const data::DatasetSource src(d);
-
-  data::PrefetchConfig base;
-  base.chunk_images = 16;
-  base.shuffle = true;
-  base.seed = 123;
-
-  base.depth = 0;
-  const StreamDump reference = drain(src, base, /*slow_consumer=*/false);
-  ASSERT_EQ(reference.labels.size(), 103u);
-  EXPECT_EQ(reference.chunk_sizes.back(), 103 % 16);
-
-  for (const int depth : {1, 2, 8}) {
-    for (const bool slow : {false, true}) {
-      data::PrefetchConfig c = base;
-      c.depth = depth;
-      EXPECT_EQ(drain(src, c, slow), reference)
-          << "depth=" << depth << " slow=" << slow;
+// Feeds `trials` mutations of `good` to `load`. Each must load or throw a
+// std::exception; any other exception fails, and a crash or sanitizer
+// report takes the whole test down.
+template <class Load>
+void expect_mutations_load_or_throw(const std::string& what,
+                                    const std::vector<unsigned char>& good,
+                                    std::uint64_t seed, int trials,
+                                    const Load& load) {
+  ASSERT_GE(good.size(), 4u) << what;
+  Rng rng(seed);
+  int threw = 0;
+  for (int t = 0; t < trials; ++t) {
+    try {
+      load(mutate(good, rng));
+    } catch (const std::exception&) {
+      ++threw;
+    } catch (...) {
+      ADD_FAILURE() << what << " mutation " << t
+                    << " threw a non-std::exception";
     }
   }
-
-  // BER_THREADS must not leak into the stream (the pipeline has exactly
-  // one producer regardless of the compute pool size).
-  ASSERT_EQ(setenv("BER_THREADS", "7", 1), 0);
-  data::PrefetchConfig c = base;
-  c.depth = 4;
-  EXPECT_EQ(drain(src, c, false), reference);
-  ASSERT_EQ(unsetenv("BER_THREADS"), 0);
-
-  // Same seed -> same permutation; different seed -> different one.
-  data::PrefetchPipeline again(src, base);
-  data::PrefetchConfig other = base;
-  other.seed = 124;
-  data::PrefetchPipeline differs(src, other);
-  EXPECT_EQ(again.order(), data::PrefetchPipeline(src, base).order());
-  EXPECT_NE(differs.order(), again.order());
+  // The validators must catch at least some of the damage.
+  EXPECT_GT(threw, 0) << what;
 }
 
-TEST(Prefetch, ExplicitOrderAndMaterialize) {
+TEST(Mutation, UntrustedInputsLoadOrThrow) {
+  const fs::path dir = scratch_dir("mutation");
+  const fs::path file = dir / "mutated";
+  const int kTrials = 48;  // x 6 inputs: 288 mutated loads
+
+  // IDX: mutate the images and labels files one at a time.
+  const fs::path idx = fixtures() / "idx";
+  const std::vector<unsigned char> idx_images =
+      slurp(idx / "train-images-idx3-ubyte");
+  const std::vector<unsigned char> idx_labels =
+      slurp(idx / "train-labels-idx1-ubyte");
+  const fs::path images = dir / "images";
+  const fs::path labels = dir / "labels";
+  spit(labels, idx_labels);
+  expect_mutations_load_or_throw(
+      "idx images", idx_images, 1, kTrials, [&](const auto& bytes) {
+        spit(images, bytes);
+        data::load_idx(images.string(), labels.string());
+      });
+  spit(images, idx_images);
+  expect_mutations_load_or_throw(
+      "idx labels", idx_labels, 2, kTrials, [&](const auto& bytes) {
+        spit(labels, bytes);
+        data::load_idx(images.string(), labels.string());
+      });
+
+  // CIFAR-10 binary batch.
+  expect_mutations_load_or_throw(
+      "cifar10", slurp(fixtures() / "cifar10" / "test_batch.bin"), 3,
+      kTrials, [&](const auto& bytes) {
+        spit(file, bytes);
+        data::load_cifar10({file.string()});
+      });
+
+  // A small BERS shard, through the load_split funnel.
   SyntheticConfig cfg = SyntheticConfig::mnist();
-  cfg.n_train = 9;
-  const Dataset d = make_synthetic(cfg, true);
-  const data::DatasetSource src(d);
+  cfg.n_train = 6;
+  data::write_shard(file.string(), make_synthetic(cfg, true));
+  const std::vector<unsigned char> shard = slurp(file);
+  data::SourceSpec spec;
+  spec.source = "shard";
+  spec.path = dir.string();
+  spec.synthetic = data::source_geometry("shard");
+  expect_mutations_load_or_throw(
+      "shard", shard, 4, kTrials, [&](const auto& bytes) {
+        spit(dir / "train.bers", bytes);
+        data::load_split(spec, true);
+      });
 
-  data::PrefetchConfig c;
-  c.chunk_images = 4;
-  c.depth = 2;
-  c.order = {8, 7, 6, 5, 4, 3, 2, 1, 0};
-  data::PrefetchPipeline pipe(src, c);
-  data::DataChunk chunk;
-  ASSERT_TRUE(pipe.next(chunk));
-  EXPECT_EQ(chunk.labels[0], d.labels[8]);
-  EXPECT_EQ(chunk.labels[3], d.labels[5]);
+  // Spec text.
+  expect_mutations_load_or_throw(
+      "smoke_sweep.json",
+      slurp(fs::path(BER_SOURCE_DIR) / "configs" / "smoke_sweep.json"), 5,
+      kTrials, [](const auto& bytes) {
+        api::ExperimentSpec::from_json(
+            Json::parse(std::string(bytes.begin(), bytes.end())));
+      });
 
-  // Out-of-range explicit order is rejected.
-  data::PrefetchConfig bad = c;
-  bad.order = {0, 9};
-  EXPECT_THROW(data::PrefetchPipeline(src, bad), std::invalid_argument);
-
-  // materialize() reproduces the dataset exactly, for several depths.
-  for (const int depth : {0, 3}) {
-    const Dataset m = data::materialize(src, depth, 4);
-    ASSERT_EQ(m.size(), d.size());
-    EXPECT_EQ(m.labels, d.labels);
-    EXPECT_EQ(std::memcmp(m.images.data(), d.images.data(),
-                          sizeof(float) * static_cast<std::size_t>(
-                                              d.images.numel())),
-              0);
-  }
+  // Deployment checkpoint of a tiny MLP.
+  ModelConfig mc;
+  mc.arch = Arch::kMlp;
+  mc.in_channels = 1;
+  mc.width = 4;
+  save_checkpoint(file.string(), *build_model(mc), QuantScheme::rquant(8));
+  expect_mutations_load_or_throw(
+      "checkpoint", slurp(file), 6, kTrials, [&](const auto& bytes) {
+        spit(file, bytes);
+        load_checkpoint(file.string(), *build_model(mc));
+      });
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------- sources + store + e2e ---
@@ -392,7 +413,7 @@ TEST(Source, LoadSplitSyntheticMatchesMakeSynthetic) {
   EXPECT_THROW(data::load_split(bogus, true), std::invalid_argument);
 }
 
-TEST(Source, ShardSplitStreamsIdenticallyForAnyDepth) {
+TEST(Source, ShardSplitCapMatchesToDataset) {
   const fs::path dir = scratch_dir("source_shard");
   SyntheticConfig cfg = SyntheticConfig::mnist();
   cfg.n_train = 50;
@@ -406,22 +427,18 @@ TEST(Source, ShardSplitStreamsIdenticallyForAnyDepth) {
   spec.synthetic = data::source_geometry("shard");
   spec.synthetic.n_train = 32;  // cap: first 32 records only
 
-  ASSERT_EQ(setenv("BER_PREFETCH_DEPTH", "0", 1), 0);
-  const Dataset eager = data::load_split(spec, true);
-  ASSERT_EQ(setenv("BER_PREFETCH_DEPTH", "6", 1), 0);
-  ASSERT_EQ(setenv("BER_PREFETCH_CHUNK", "8", 1), 0);
-  const Dataset deep = data::load_split(spec, true);
-  ASSERT_EQ(unsetenv("BER_PREFETCH_DEPTH"), 0);
-  ASSERT_EQ(unsetenv("BER_PREFETCH_CHUNK"), 0);
-
-  ASSERT_EQ(eager.size(), 32);
-  ASSERT_EQ(deep.size(), 32);
-  EXPECT_EQ(eager.labels, deep.labels);
-  EXPECT_EQ(std::memcmp(eager.images.data(), deep.images.data(),
+  const Dataset capped = data::load_split(spec, true);
+  const Dataset head =
+      data::ShardReader((dir / "train.bers").string()).to_dataset(32);
+  ASSERT_EQ(capped.size(), 32);
+  ASSERT_EQ(head.size(), 32);
+  EXPECT_EQ(capped.num_classes, head.num_classes);
+  EXPECT_EQ(capped.labels, head.labels);
+  EXPECT_EQ(std::memcmp(capped.images.data(), head.images.data(),
                         sizeof(float) * static_cast<std::size_t>(
-                                            eager.images.numel())),
+                                            head.images.numel())),
             0);
-  // The cap sliced the stream, not the shard: full test split still loads.
+  // The cap sliced the train split only: the full test split still loads.
   EXPECT_EQ(data::load_split(spec, false).size(), 20);
   fs::remove_all(dir);
 }
@@ -452,10 +469,10 @@ TEST(Store, BuildsOnceAndSharesAcrossConsumers) {
 }
 
 // The acceptance test: one tiny Runner spec fed from a shard produces a
-// report bit-identical to the same records fed eagerly (synthetic source),
-// for any prefetch depth. "metrics" is the only section allowed to differ
-// (it snapshots cumulative process counters).
-TEST(EndToEnd, ShardSourcedReportMatchesEagerForAnyDepth) {
+// report bit-identical to the same records generated in memory (synthetic
+// source). "metrics" is the only section allowed to differ (it snapshots
+// cumulative process counters).
+TEST(EndToEnd, ShardSourcedReportMatchesSynthetic) {
   const fs::path dir = scratch_dir("e2e");
   SyntheticConfig cfg = SyntheticConfig::mnist();
   cfg.n_train = 120;
@@ -481,27 +498,23 @@ TEST(EndToEnd, ShardSourcedReportMatchesEagerForAnyDepth) {
         "   \"clean_err\": true, \"rate_grid\": [0.01]}}");
   };
 
-  const auto run = [&](bool shard, const char* depth) {
+  const auto run = [&](bool shard) {
     // Fresh artifacts dir per run: the checkpoint cache must not let the
     // second run skip training.
     static int run_id = 0;
     const fs::path art = dir / ("art" + std::to_string(run_id++));
     EXPECT_EQ(setenv("BER_ARTIFACTS", art.string().c_str(), 1), 0);
-    EXPECT_EQ(setenv("BER_PREFETCH_DEPTH", depth, 1), 0);
     Json j =
         api::Runner(api::ExperimentSpec::from_json(spec_json(shard))).run()
             .to_json();
-    EXPECT_EQ(unsetenv("BER_PREFETCH_DEPTH"), 0);
     EXPECT_EQ(unsetenv("BER_ARTIFACTS"), 0);
     j.set("metrics", Json());   // cumulative process counters; not compared
     j.set("spec", Json());      // dataset sections differ by construction
     return j.dump(2);
   };
 
-  const std::string eager = run(/*shard=*/false, "0");
-  EXPECT_EQ(run(/*shard=*/true, "0"), eager) << "shard eager != synthetic";
-  EXPECT_EQ(run(/*shard=*/true, "4"), eager) << "depth 4 != eager";
-  EXPECT_EQ(run(/*shard=*/true, "1"), eager) << "depth 1 != eager";
+  const std::string synthetic = run(/*shard=*/false);
+  EXPECT_EQ(run(/*shard=*/true), synthetic);
   fs::remove_all(dir);
 }
 

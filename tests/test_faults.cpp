@@ -97,7 +97,7 @@ TEST(ChipFaultList, ByteIdenticalToScalarPath) {
       const std::size_t changed_sparse =
           ChipFaultList(clean, cfg, chip, p).apply(sparse, p);
       const std::size_t changed_scalar =
-          inject_random_bit_errors_scalar(scalar, cfg, chip);
+          inject_random_bit_errors(scalar, cfg, chip);
       EXPECT_EQ(changed_sparse, changed_scalar) << "p=" << p;
       EXPECT_EQ(sparse.tensors[0].codes, scalar.tensors[0].codes)
           << "p=" << p << " chip=" << chip;
@@ -110,7 +110,7 @@ TEST(ChipFaultList, ByteIdenticalWithStuckAtMix) {
   const BitErrorConfig cfg = BitErrorConfig::biased_set1(0.02);
   NetSnapshot sparse = clean, scalar = clean;
   ChipFaultList(clean, cfg, 11, cfg.p).apply(sparse, cfg.p);
-  inject_random_bit_errors_scalar(scalar, cfg, 11);
+  inject_random_bit_errors(scalar, cfg, 11);
   EXPECT_EQ(sparse.tensors[0].codes, scalar.tensors[0].codes);
 }
 
@@ -127,7 +127,7 @@ TEST(ChipFaultList, MultiTensorByteIdentical) {
   cfg.p = 0.01;
   NetSnapshot sparse = clean, scalar = clean;
   ChipFaultList(clean, cfg, 77, cfg.p).apply(sparse, cfg.p);
-  inject_random_bit_errors_scalar(scalar, cfg, 77);
+  inject_random_bit_errors(scalar, cfg, 77);
   for (std::size_t t = 0; t < clean.tensors.size(); ++t) {
     EXPECT_EQ(sparse.tensors[t].codes, scalar.tensors[t].codes) << "t=" << t;
   }
@@ -146,7 +146,7 @@ TEST(ChipFaultList, ListBuiltAtPMaxServesLowerRates) {
     list.apply(from_list, p);
     BitErrorConfig at_p = cfg;
     at_p.p = p;
-    inject_random_bit_errors_scalar(fresh, at_p, 42);
+    inject_random_bit_errors(fresh, at_p, 42);
     EXPECT_EQ(from_list.tensors[0].codes, fresh.tensors[0].codes)
         << "p=" << p;
   }
@@ -180,7 +180,7 @@ TEST(ChipFaultList, ShardedParallelPathByteIdentical) {
   const ChipFaultList list(clean, cfg, /*chip_seed=*/21, cfg.p, /*threads=*/4);
   const std::size_t changed = list.apply(sharded, cfg.p, /*threads=*/4);
   const std::size_t changed_scalar =
-      inject_random_bit_errors_scalar(scalar, cfg, 21);
+      inject_random_bit_errors(scalar, cfg, 21);
   EXPECT_EQ(changed, changed_scalar);
   EXPECT_EQ(sharded.tensors[0].codes, scalar.tensors[0].codes);
   EXPECT_EQ(list.size(), ChipFaultList(clean, cfg, 21, cfg.p).size());
@@ -318,8 +318,8 @@ RobustResult legacy_random_rerr(Sequential& model, const QuantScheme& scheme,
   for (int c = 0; c < n_chips; ++c) {
     Sequential clone(model);
     NetSnapshot snap = base;
-    inject_random_bit_errors_scalar(snap, config,
-                                    seed_base + static_cast<std::uint64_t>(c));
+    inject_random_bit_errors(snap, config,
+                             seed_base + static_cast<std::uint64_t>(c));
     deploy_snapshot(snap, param_slots(clone), compute_on_codes_default());
     const EvalResult r = evaluate(clone, data);
     errs.push_back(r.error);

@@ -73,7 +73,7 @@ TEST(ForensicsDisabled, BitExactInjectionAndNoRegistryKeys) {
   NetSnapshot off = clean;
   const std::size_t changed_off = list.apply(off, cfg.p);
   NetSnapshot off_scalar = clean;
-  EXPECT_EQ(inject_random_bit_errors_scalar(off_scalar, cfg, 7), changed_off);
+  EXPECT_EQ(inject_random_bit_errors(off_scalar, cfg, 7), changed_off);
   EXPECT_EQ(off.tensors[0].codes, off_scalar.tensors[0].codes);
 
   // Nothing recorded, and — critically — the instrumentation never touched
@@ -105,7 +105,7 @@ TEST(ForensicsLedger, EnabledWithoutScopeRecordsNothing) {
   NetSnapshot snap = make_snapshot(2000, 8);
   BitErrorConfig cfg;
   cfg.p = 0.02;
-  inject_random_bit_errors_scalar(snap, cfg, 3);  // no ForensicsTrialScope
+  inject_random_bit_errors(snap, cfg, 3);  // no ForensicsTrialScope
   obs::fault_ledger().set_enabled(false);
   EXPECT_EQ(obs::fault_ledger().totals().applies, 0u);
   obs::fault_ledger().clear();

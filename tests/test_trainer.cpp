@@ -2,8 +2,12 @@
 // variants, PATTBET determinism, post-training (non-QAT) path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "data/shapes.h"
 #include "models/factory.h"
+#include "obs/metrics.h"
 #include "train/trainer.h"
 
 namespace ber {
@@ -58,6 +62,25 @@ TEST(Trainer, DeterministicForSeed) {
   const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
   EXPECT_EQ(s1.epoch_loss, s2.epoch_loss);
   EXPECT_EQ(s1.final_test_err, s2.final_test_err);
+}
+
+// data.batches_produced counts one gathered batch per step (the CI shard
+// gate and the benchmark's per-layer read rely on it), the last batch of an
+// epoch being the short remainder; batch_size < 1 is rejected up front.
+TEST(Trainer, CountsGatheredBatchesAndRejectsEmptyBatches) {
+  Tiny t;
+  auto model = build_model(t.model_cfg);
+  TrainConfig tc = t.base_train();
+  tc.epochs = 2;
+  tc.batch_size = 40;  // 300 records: 7 full batches + one of 20
+  obs::Counter& batches = obs::registry().counter("data.batches_produced");
+  const std::uint64_t before = batches.value();
+  train(*model, t.train_set, t.test_set, tc);
+  EXPECT_EQ(batches.value() - before, 16u);
+
+  tc.batch_size = 0;
+  EXPECT_THROW(train(*model, t.train_set, t.test_set, tc),
+               std::invalid_argument);
 }
 
 TEST(Trainer, SeedChangesTrajectory) {
