@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "ber.h"
-#include "zoo.h"
+#include "api/zoo.h"
 
 namespace ber::bench {
 

@@ -85,9 +85,9 @@ class ChipFaultList {
   // Scans every (weight, bit) coordinate of `layout` once and records the
   // cells with u < p_max. The layout only provides tensor sizes / offsets /
   // bit widths; codes are not read. `threads` > 1 opts into a shard-parallel
-  // sweep — leave it at 1 when the caller is already parallel (the
-  // RobustnessEvaluator runs one list per worker; nesting thread spawns
-  // would oversubscribe, see core/parallel.h).
+  // sweep — there is no gain from it when the caller is already parallel
+  // (the RobustnessEvaluator builds one list per worker, and a nested
+  // parallel_for runs its shards inline, see core/parallel.h).
   ChipFaultList(const NetSnapshot& layout, const BitErrorConfig& config,
                 std::uint64_t chip_seed, double p_max, int threads = 1);
 

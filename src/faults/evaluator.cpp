@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "core/parallel.h"
@@ -35,15 +36,12 @@ RobustResult summarize(std::vector<float> errs,
   return r;
 }
 
-// Runs fn(clone, pristine, trial) for trials [0, n) on a pool of workers;
-// each worker owns one model clone plus — when `need_pristine` — a stash of
-// its pristine weights (only the float-space path restores between trials;
-// the quantizer paths fully overwrite, so skip the copy there). The
-// caller's compute backend (thread-scoped overrides included) is captured
-// here and re-installed on every worker thread.
+// Runs fn(clone, trial) for trials [0, n) on a pool of workers, each owning
+// one model clone for all of its trials. The caller's compute backend
+// (thread-scoped overrides included) is captured here and re-installed on
+// every worker thread.
 template <typename PerTrial>
-void run_trials(Sequential& model, int n_trials, bool need_pristine,
-                const PerTrial& fn) {
+void run_trials(Sequential& model, int n_trials, const PerTrial& fn) {
   const kernels::Backend& backend = kernels::current_backend();
   const int threads =
       std::max(1, std::min(default_threads(), std::max(1, n_trials)));
@@ -54,12 +52,20 @@ void run_trials(Sequential& model, int n_trials, bool need_pristine,
     const std::int64_t hi = std::min<std::int64_t>(lo + chunk, n_trials);
     if (lo >= hi) return;
     Sequential clone(model);
-    WeightStash pristine;
-    if (need_pristine) pristine.save(clone.params());
-    for (std::int64_t trial = lo; trial < hi; ++trial) {
-      fn(clone, pristine, trial);
-    }
+    for (std::int64_t trial = lo; trial < hi; ++trial) fn(clone, trial);
   });
+}
+
+// Each evaluator mode takes exactly one fault space: a quantizing evaluator
+// code-space models, a float-space evaluator weight-space models.
+void require_space(const FaultModel& fault, bool quantizing) {
+  const bool code_space = fault.space() == FaultSpace::kQuantizedCodes;
+  if (code_space == quantizing) return;
+  throw std::invalid_argument(
+      code_space ? "RobustnessEvaluator: code-space fault models need a "
+                   "quantizing evaluator (construct with a QuantScheme)"
+                 : "RobustnessEvaluator: float-weight fault models need a "
+                   "float-space evaluator (construct without a QuantScheme)");
 }
 
 // Injection-campaign telemetry. The per-fault-word hot loops inside
@@ -85,135 +91,109 @@ EvalMetrics& eval_metrics() {
 
 RobustnessEvaluator::RobustnessEvaluator(Sequential& model,
                                          const QuantScheme& scheme)
-    : model_(model), quantizer_(NetQuantizer(scheme)) {
-  base_snap_ = quantizer_->quantize(model_.params());
-}
+    : model_(model),
+      base_snap_(NetQuantizer(scheme).quantize(model.params())),
+      quantizing_(true) {}
 
 RobustnessEvaluator::RobustnessEvaluator(Sequential& model) : model_(model) {}
 
 RobustResult RobustnessEvaluator::run(const FaultModel& fault,
                                       const Dataset& data, int n_trials,
                                       long batch) const {
+  require_space(fault, quantizing_);
   if (n_trials <= 0) return {};
-  const bool weight_space = fault.space() == FaultSpace::kFloatWeights;
-  if (!quantizer_ && !weight_space) {
-    throw std::invalid_argument(
-        "RobustnessEvaluator: code-space fault models need a quantizing "
-        "evaluator (construct with a QuantScheme)");
-  }
-  // Fail on the calling thread: worker-thread exceptions would terminate.
-  if (quantizer_ && !weight_space) fault.validate_layout(base_snap_);
+  if (quantizing_) return run_cells(fault, nullptr, data, n_trials, batch)[0];
+  // Float space: apply_weights accumulates, so every trial restarts from the
+  // model's own weights, which nothing here modifies.
+  const std::vector<Param*> pristine = model_.params();
   std::vector<float> errs(static_cast<std::size_t>(n_trials));
   std::vector<float> confs(static_cast<std::size_t>(n_trials));
-  run_trials(model_, n_trials, /*need_pristine=*/!quantizer_,
-             [&](Sequential& clone, const WeightStash& pristine,
-                 std::int64_t trial) {
-               BER_TRACE_SCOPE_ARGS("faults", "trial", {"trial", trial});
-               EvalMetrics& em = eval_metrics();
-               em.trials.add(1);
-               const obs::ScopedTimerUs timer(em.trial_us);
-               const auto params = clone.params();
-               if (quantizer_) {
-                 if (weight_space) {
-                   quantizer_->write_dequantized(base_snap_, params);
-                   fault.apply_weights(params,
-                                       static_cast<std::uint64_t>(trial));
-                 } else {
-                   NetSnapshot snap = base_snap_;
-                   {
-                     const obs::ForensicsTrialScope fscope(
-                         static_cast<std::uint64_t>(trial),
-                         forensics_profile_);
-                     em.words_patched.add(fault.apply(
-                         snap, static_cast<std::uint64_t>(trial)));
-                   }
-                   deploy_snapshot(snap, param_slots(clone), on_codes_);
-                   if (forensics_ != nullptr && forensics_->probes_ready()) {
-                     forensics_->probe_trial(
-                         clone, static_cast<std::uint64_t>(trial),
-                         forensics_profile_);
-                   }
-                 }
-               } else {
-                 // Reset to the pristine weights before perturbing: unlike
-                 // write_dequantized, apply_weights accumulates.
-                 pristine.restore(params);
-                 fault.apply_weights(params,
-                                     static_cast<std::uint64_t>(trial));
-               }
-               const EvalResult r = evaluate(clone, data, batch);
-               if (forensics_ != nullptr && quantizer_ && !weight_space) {
-                 forensics_->record_trial_error(
-                     static_cast<std::uint64_t>(trial), forensics_profile_,
-                     r.error);
-               }
-               errs[static_cast<std::size_t>(trial)] = r.error;
-               confs[static_cast<std::size_t>(trial)] = r.confidence;
-             });
+  run_trials(model_, n_trials, [&](Sequential& clone, std::int64_t trial) {
+    BER_TRACE_SCOPE_ARGS("faults", "trial", {"trial", trial});
+    EvalMetrics& em = eval_metrics();
+    em.trials.add(1);
+    const obs::ScopedTimerUs timer(em.trial_us);
+    const std::vector<Param*> params = clone.params();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i]->value = pristine[i]->value;
+    }
+    fault.apply_weights(params, static_cast<std::uint64_t>(trial));
+    const EvalResult r = evaluate(clone, data, batch);
+    errs[static_cast<std::size_t>(trial)] = r.error;
+    confs[static_cast<std::size_t>(trial)] = r.confidence;
+  });
   return summarize(std::move(errs), confs);
 }
 
 std::vector<RobustResult> RobustnessEvaluator::run_rate_sweep(
     const FaultModel& fault, const std::vector<double>& rates,
     const Dataset& data, int n_trials, long batch) const {
-  if (!quantizer_) {
-    throw std::invalid_argument(
-        "RobustnessEvaluator::run_rate_sweep: needs a quantizing evaluator");
-  }
+  require_space(fault, quantizing_);
   require_persistent(fault, "RobustnessEvaluator::run_rate_sweep");
   if (rates.empty() || n_trials <= 0) return {};
-  double p_max = 0.0;
   for (double p : rates) {
     if (!(p >= 0.0 && p <= 1.0)) {
       throw std::invalid_argument("run_rate_sweep: rates must be in [0,1]");
     }
-    p_max = std::max(p_max, p);
   }
-  const std::size_t n_points = rates.size();
+  return run_cells(fault, &rates, data, n_trials, batch);
+}
+
+std::vector<RobustResult> RobustnessEvaluator::run_cells(
+    const FaultModel& fault, const std::vector<double>* rates,
+    const Dataset& data, int n_trials, long batch) const {
+  // Exceptions from the workers reach this thread too, but checking here
+  // fails before any trial starts.
+  fault.validate_layout(base_snap_);
+  const std::size_t n_points = rates == nullptr ? 1 : rates->size();
+  const double p_max =
+      rates == nullptr ? 0.0 : *std::max_element(rates->begin(), rates->end());
   std::vector<std::vector<float>> errs(n_points), confs(n_points);
   for (std::size_t r = 0; r < n_points; ++r) {
     errs[r].resize(static_cast<std::size_t>(n_trials));
     confs[r].resize(static_cast<std::size_t>(n_trials));
   }
-  run_trials(model_, n_trials, /*need_pristine=*/false,
-             [&](Sequential& clone, const WeightStash&, std::int64_t trial) {
-               BER_TRACE_SCOPE_ARGS("faults", "chip_trial", {"trial", trial});
-               EvalMetrics& em = eval_metrics();
-               em.trials.add(1);
-               const obs::ScopedTimerUs timer(em.trial_us);
-               // One fault-list build per trial covers the whole grid; each
-               // point keeps the subset of faults with u below its rate
-               // (persistence).
-               const ChipFaultList faults = fault.fault_list(
-                   base_snap_, static_cast<std::uint64_t>(trial), p_max);
-               em.fault_lists.add(1);
-               const std::vector<ParamSlot> slots = param_slots(clone);
-               for (std::size_t r = 0; r < n_points; ++r) {
-                 BER_TRACE_SCOPE_ARGS("faults", "sweep_point", {"point", r});
-                 const obs::ScopedTimerUs timer(em.sweep_point_us);
-                 // Point-distinct trial token: grid points of one trial are
-                 // separate injections with their own ledger / probe rows.
-                 const std::uint64_t token =
-                     static_cast<std::uint64_t>(trial) * n_points + r;
-                 NetSnapshot snap = base_snap_;
-                 {
-                   const obs::ForensicsTrialScope fscope(token,
-                                                         forensics_profile_);
-                   em.words_patched.add(faults.apply(snap, rates[r]));
-                 }
-                 deploy_snapshot(snap, slots, on_codes_);
-                 if (forensics_ != nullptr && forensics_->probes_ready()) {
-                   forensics_->probe_trial(clone, token, forensics_profile_);
-                 }
-                 const EvalResult res = evaluate(clone, data, batch);
-                 if (forensics_ != nullptr) {
-                   forensics_->record_trial_error(token, forensics_profile_,
-                                                  res.error);
-                 }
-                 errs[r][static_cast<std::size_t>(trial)] = res.error;
-                 confs[r][static_cast<std::size_t>(trial)] = res.confidence;
-               }
-             });
+  run_trials(model_, n_trials, [&](Sequential& clone, std::int64_t trial) {
+    BER_TRACE_SCOPE_ARGS("faults", "chip_trial", {"trial", trial});
+    EvalMetrics& em = eval_metrics();
+    em.trials.add(1);
+    const obs::ScopedTimerUs timer(em.trial_us);
+    // A sweep builds one fault list per trial at the top of the grid; each
+    // point keeps the subset of faults with u below its rate (persistence).
+    std::optional<ChipFaultList> faults;
+    if (rates != nullptr) {
+      faults.emplace(
+          fault.fault_list(base_snap_, static_cast<std::uint64_t>(trial), p_max));
+      em.fault_lists.add(1);
+    }
+    const std::vector<ParamSlot> slots = param_slots(clone);
+    for (std::size_t r = 0; r < n_points; ++r) {
+      BER_TRACE_SCOPE_ARGS("faults", "sweep_point", {"point", r});
+      const obs::ScopedTimerUs point_timer(em.sweep_point_us);
+      // Point-distinct trial token: grid points of one trial are separate
+      // injections with their own ledger / probe rows. For run() (one
+      // point) it is the trial index itself.
+      const std::uint64_t token =
+          static_cast<std::uint64_t>(trial) * n_points + r;
+      NetSnapshot snap = base_snap_;
+      {
+        const obs::ForensicsTrialScope fscope(token, forensics_profile_);
+        em.words_patched.add(
+            faults ? faults->apply(snap, (*rates)[r])
+                   : fault.apply(snap, static_cast<std::uint64_t>(trial)));
+      }
+      deploy_snapshot(snap, slots, on_codes_);
+      if (forensics_ != nullptr && forensics_->probes_ready()) {
+        forensics_->probe_trial(clone, token, forensics_profile_);
+      }
+      const EvalResult res = evaluate(clone, data, batch);
+      if (forensics_ != nullptr) {
+        forensics_->record_trial_error(token, forensics_profile_, res.error);
+      }
+      errs[r][static_cast<std::size_t>(trial)] = res.error;
+      confs[r][static_cast<std::size_t>(trial)] = res.confidence;
+    }
+  });
   std::vector<RobustResult> out;
   out.reserve(n_points);
   for (std::size_t r = 0; r < n_points; ++r) {

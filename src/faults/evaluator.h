@@ -1,13 +1,16 @@
 // RobustnessEvaluator: the one quantize -> inject -> evaluate -> aggregate
 // pipeline behind every robustness number in the repo.
 //
-// The evaluator snapshots (quantizes) the model's parameters ONCE, then runs
-// n trials of a FaultModel chip-parallel: worker threads each own one model
-// clone (a clone pool — write_dequantized fully overwrites the weights, so a
+// Each mode takes one fault space. A quantizing evaluator snapshots
+// (quantizes) the model's parameters ONCE and runs kQuantizedCodes models;
+// a float-space evaluator runs kFloatWeights models on the float weights.
+// n trials run chip-parallel: worker threads each own one model clone (a
+// clone pool — every trial overwrites all of the clone's weights, so a
 // clone is reusable across that worker's trials) and stream per-trial
 // error/confidence into mean/std aggregation. Trials are indexed 0..n-1 and
 // deterministic per (model config, trial), so results are reproducible and
-// independent of thread count.
+// independent of thread count. run() and run_rate_sweep() share one
+// code-space trial loop; run() is a one-point grid.
 //
 // run_rate_sweep() is the multi-rate fast path for persistent fault models
 // (FaultModel::persistent — uniform random errors and profiled chips): the
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "data/dataset.h"
@@ -60,10 +62,10 @@ class StreamingMoments {
 
 class RobustnessEvaluator {
  public:
-  // Quantizing evaluator: snapshots `model`'s parameters once under
-  // `scheme`; each trial perturbs a copy of the snapshot (kQuantizedCodes
-  // models) or the dequantized weights (kFloatWeights models). The model
-  // itself is never modified; it must outlive the evaluator.
+  // Quantizing evaluator — for kQuantizedCodes models only: snapshots
+  // `model`'s parameters once under `scheme`; each trial perturbs a copy of
+  // the snapshot. The model itself is never modified; it must outlive the
+  // evaluator.
   RobustnessEvaluator(Sequential& model, const QuantScheme& scheme);
 
   // Float-space evaluator (no quantization) — for kFloatWeights models only.
@@ -93,6 +95,7 @@ class RobustnessEvaluator {
   }
 
   // Runs `n_trials` trials of `fault` and aggregates RErr / confidence.
+  // Throws std::invalid_argument for a model of the other fault space.
   RobustResult run(const FaultModel& fault, const Dataset& data, int n_trials,
                    long batch = 200) const;
 
@@ -107,9 +110,17 @@ class RobustnessEvaluator {
                                            long batch = 200) const;
 
  private:
+  // The code-space trial loop. rates == nullptr: one point per trial,
+  // injected with fault.apply(snap, trial). Otherwise one fault list per
+  // trial at max(*rates), applied at each rate. Returns one result per point.
+  std::vector<RobustResult> run_cells(const FaultModel& fault,
+                                      const std::vector<double>* rates,
+                                      const Dataset& data, int n_trials,
+                                      long batch) const;
+
   Sequential& model_;
-  std::optional<NetQuantizer> quantizer_;
   NetSnapshot base_snap_;
+  bool quantizing_ = false;
   bool on_codes_ = compute_on_codes_default();
   obs::ForensicsCollector* forensics_ = nullptr;
   const char* forensics_profile_ = "eval";

@@ -56,8 +56,8 @@ class FaultModel {
   // Throws std::invalid_argument if this model cannot operate on snapshots
   // with `layout`'s shape (e.g. bit widths it cannot pack). The evaluator
   // calls this once on the calling thread before fanning trials out to
-  // workers — exceptions thrown inside worker threads would terminate the
-  // process (core/parallel.h does not marshal them).
+  // workers, so a bad layout fails before any trial runs. (Exceptions from
+  // worker threads reach the caller too: core/parallel.h rethrows them.)
   virtual void validate_layout(const NetSnapshot& layout) const;
 
   // Injects trial `trial`'s faults into the quantized snapshot. Returns the

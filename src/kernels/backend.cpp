@@ -5,7 +5,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
+#include <memory>
 
 #include "kernels/blocked_backend.h"
 #include "kernels/reference_backend.h"
@@ -83,17 +83,6 @@ std::vector<std::string> backend_names() {
   names.reserve(r.backends.size());
   for (const auto& [name, bk] : r.backends) names.push_back(name);
   return names;
-}
-
-void register_backend(std::unique_ptr<Backend> bk) {
-  if (!bk) throw std::invalid_argument("register_backend: null backend");
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  const std::string name = bk->name();
-  if (!r.backends.emplace(name, std::move(bk)).second) {
-    throw std::invalid_argument("register_backend: duplicate \"" + name +
-                                "\"");
-  }
 }
 
 const Backend& default_backend() {

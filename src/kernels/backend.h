@@ -15,13 +15,10 @@
 //      the BER_BACKEND environment variable or set_default_backend();
 //   2. per-call/thread override: ScopedBackend (RAII, nestable) — this is
 //      how the evaluator / serving workers propagate their caller's choice
-//      onto pool threads;
-//   3. per-model preference: Sequential::set_backend() (see nn/sequential.h)
-//      installs a scoped override for that model's forward/backward.
+//      onto pool threads.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,9 +107,6 @@ const Backend& backend(const std::string& name);
 
 // Registered names, sorted.
 std::vector<std::string> backend_names();
-
-// Registers a custom backend under bk->name(); throws on duplicates.
-void register_backend(std::unique_ptr<Backend> bk);
 
 // ------------------------------------------- default + per-call override ---
 

@@ -1,13 +1,11 @@
 #include "nn/sequential.h"
 
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/serialize.h"
 #include "kernels/arena.h"
-#include "kernels/backend.h"
 #include "nn/activation.h"
 #include "nn/code_compute.h"
 
@@ -26,8 +24,7 @@ struct ArenaTensorRegion {
 
 }  // namespace
 
-Sequential::Sequential(const Sequential& other)
-    : backend_(other.backend_), backend_ptr_(other.backend_ptr_) {
+Sequential::Sequential(const Sequential& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
 }
@@ -37,19 +34,10 @@ Sequential& Sequential::operator=(const Sequential& other) {
   layers_.clear();
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
-  backend_ = other.backend_;
-  backend_ptr_ = other.backend_ptr_;
   return *this;
 }
 
-void Sequential::set_backend(const std::string& name) {
-  backend_ptr_ = name.empty() ? nullptr : &kernels::backend(name);
-  backend_ = name;
-}
-
 Tensor Sequential::forward(const Tensor& x, bool training) {
-  std::optional<kernels::ScopedBackend> guard;
-  if (backend_ptr_) guard.emplace(*backend_ptr_);
   if (!training && !arena_tensors_enabled()) {
     // Outermost inference forward: run every intermediate activation (and
     // the layers' im2col/GEMM scratch beneath them) out of the thread
@@ -101,14 +89,10 @@ Tensor Sequential::run_layers(const Tensor& x, bool training,
 
 Tensor Sequential::forward_observed(const Tensor& x,
                                     const ActivationObserver& observer) {
-  std::optional<kernels::ScopedBackend> guard;
-  if (backend_ptr_) guard.emplace(*backend_ptr_);
   return run_layers(x, /*training=*/false, &observer);
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {
-  std::optional<kernels::ScopedBackend> guard;
-  if (backend_ptr_) guard.emplace(*backend_ptr_);
   Tensor cur = grad_out;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     cur = (*it)->backward(cur);

@@ -10,10 +10,6 @@
 
 namespace ber {
 
-namespace kernels {
-class Backend;
-}
-
 class BinaryReader;
 class BinaryWriter;
 
@@ -56,13 +52,6 @@ class Sequential : public Layer {
   std::vector<Tensor*> buffers() override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
-
-  // Per-model compute-backend preference: when set, forward/backward run
-  // under a kernels::ScopedBackend override on the calling thread. Empty
-  // (default) inherits kernels::current_backend(). Validated against the
-  // registry; copied by clone(), not part of the checkpoint signature.
-  void set_backend(const std::string& name);
-  const std::string& backend() const { return backend_; }
 
   // Bytes of thread-local arena scratch (intermediate activations + im2col
   // / GEMM packing) consumed by the most recent outermost inference
@@ -110,10 +99,6 @@ class Sequential : public Layer {
                     const ActivationObserver* observer = nullptr);
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::string backend_;
-  // Resolved once in set_backend (registry backends live for the process),
-  // so forward/backward skip the registry mutex + map lookup per call.
-  const kernels::Backend* backend_ptr_ = nullptr;
   std::size_t last_forward_arena_bytes_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 
@@ -263,118 +262,6 @@ Json Registry::to_json() const {
   j.set("gauges", std::move(gauges));
   j.set("histograms", std::move(histograms));
   return j;
-}
-
-namespace {
-
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
-std::string prom_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
-// Exposition-format label values escape backslash, double-quote and
-// newline; anything else passes through verbatim.
-std::string prom_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '"') out += "\\\"";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-std::string prom_labels(const Labels& labels, const char* extra_key = nullptr,
-                        const std::string& extra_val = "") {
-  if (labels.empty() && extra_key == nullptr) return "";
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : sorted) {
-    if (!first) out += ",";
-    first = false;
-    out += prom_name(k) + "=\"" + prom_escape(v) + "\"";
-  }
-  if (extra_key) {
-    if (!first) out += ",";
-    out += std::string(extra_key) + "=\"" + prom_escape(extra_val) + "\"";
-  }
-  out += "}";
-  return out;
-}
-
-void append_sample(std::string& out, const std::string& name,
-                   const std::string& labels, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += name + labels + " " + buf + "\n";
-}
-
-}  // namespace
-
-std::string Registry::to_prometheus() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [key, e] : entries()) {
-    const std::string name = prom_name(e.name);
-    const std::string labels = prom_labels(e.labels);
-    switch (e.kind) {
-      case kCounter:
-        append_sample(out, name, labels,
-                      static_cast<double>(e.counter->value()));
-        break;
-      case kGauge:
-        append_sample(out, name, labels, e.gauge->value());
-        break;
-      default: {
-        const Histogram::Snapshot s = e.histogram->snapshot();
-        append_sample(out, name + "_count", labels,
-                      static_cast<double>(s.count));
-        append_sample(out, name + "_sum", labels, s.sum);
-        const std::pair<double, const char*> quantiles[] = {
-            {0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"}};
-        for (const auto& [q, qname] : quantiles) {
-          append_sample(out, name, prom_labels(e.labels, "quantile", qname),
-                        s.quantile(q));
-        }
-        // Cumulative Prometheus buckets alongside the quantile summaries.
-        // Recorded values round to integers, so the exclusive bucket upper
-        // bound maps to an inclusive le of upper-1; only non-empty buckets
-        // are emitted (1920 mostly-zero lines per histogram would dwarf the
-        // exposition). The mandatory +Inf bucket takes max(cum, count):
-        // under a relaxed snapshot the count can run ahead of the bucket
-        // copies, and _bucket{+Inf} must stay >= every other bucket AND
-        // match _count for scrape-side consistency.
-        std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-          if (s.buckets[i] == 0) continue;
-          cum += s.buckets[i];
-          const std::uint64_t upper = Histogram::bucket_upper(i);
-          if (upper == ~0ull) continue;  // folds into +Inf below
-          char le[24];
-          std::snprintf(le, sizeof(le), "%llu",
-                        static_cast<unsigned long long>(upper - 1));
-          append_sample(out, name + "_bucket",
-                        prom_labels(e.labels, "le", le),
-                        static_cast<double>(cum));
-        }
-        append_sample(out, name + "_bucket",
-                      prom_labels(e.labels, "le", "+Inf"),
-                      static_cast<double>(std::max(cum, s.count)));
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 void Registry::reset() {

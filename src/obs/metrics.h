@@ -15,7 +15,7 @@
 // registry() hands out stable references: call sites resolve an instrument
 // once (mutex-guarded map lookup) and then update it lock-free forever.
 // Snapshots serialize to core/json (embedded in api::Report, written by
-// `ber_run --metrics-out`) and to Prometheus-style text exposition.
+// `ber_run --metrics-out`).
 //
 // Naming convention: dotted subsystem.metric names ("serve.requests",
 // "kernels.gemm_flops"), snake_case, unit suffix where it matters (_us,
@@ -132,10 +132,6 @@ class Registry {
   // {"counters": {key: n}, "gauges": {key: x}, "histograms": {key: {...}}}
   // with keys sorted, so snapshots diff cleanly run over run.
   Json to_json() const;
-
-  // Prometheus-style text exposition: counters/gauges as samples, histograms
-  // as summaries (_count, _sum, {quantile="..."}). Dots become underscores.
-  std::string to_prometheus() const;
 
   // Zeroes every value, keeping registrations (handles stay valid) — for
   // tests and benches that need a clean window.

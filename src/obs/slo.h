@@ -22,7 +22,7 @@
 //
 // Every close_window() also publishes the live values as registry gauges
 // (slo.attainment, slo.burn_rate, slo.error_budget_remaining) and counters
-// (slo.windows_total, slo.windows_violated), so the Prometheus exposition
+// (slo.windows_total, slo.windows_violated), so the JSON metrics snapshot
 // carries the scoreboard alongside the raw latency series. to_json() emits
 // the timeline section embedded in the serve Report.
 #pragma once

@@ -91,7 +91,7 @@ void ReplicaPool::drain() {
 void ReplicaPool::worker(std::size_t i) {
   // Serve under the backend that was current when the pool was built, so a
   // deployment can opt the whole fleet into the blocked kernels with one
-  // ScopedBackend around construction (per-model preferences still win).
+  // ScopedBackend around construction.
   // The worker marker keeps intra-GEMM sharding serial on these threads:
   // one replica per core is already the right granularity.
   const kernels::ScopedBackend backend_guard(*backend_);

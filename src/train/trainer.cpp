@@ -10,7 +10,6 @@
 #include "core/hash.h"
 #include "core/rng.h"
 #include "eval/metrics.h"
-#include "kernels/backend.h"
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
@@ -43,11 +42,6 @@ LossStats quantized_pass(Sequential& model, const NetQuantizer& quantizer,
 
 TrainStats train(Sequential& model, const Dataset& train_set,
                  const Dataset& test_set, const TrainConfig& config) {
-  // Per-run compute-backend override (config.backend); empty inherits the
-  // caller's current backend. Training runs on this thread only, so a
-  // thread-scoped override covers the whole run.
-  std::optional<kernels::ScopedBackend> backend_guard;
-  if (!config.backend.empty()) backend_guard.emplace(config.backend);
   if (config.batch_size < 1) {
     throw std::invalid_argument("train: batch_size must be >= 1");
   }

@@ -48,10 +48,6 @@ struct TrainConfig {
   float bit_error_loss_threshold = 1.75f;  // gate for RANDBET injection
   bool curricular = false;
   bool alternating = false;
-  // Compute backend for this training run ("" = inherit the caller's
-  // current backend; see src/kernels/backend.h). "blocked" trades bit-exact
-  // reproducibility of trajectories across backends for throughput.
-  std::string backend;
 
   int epochs = 20;
   int batch_size = 100;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/hash.h"
 #include "core/rng.h"
@@ -525,23 +528,64 @@ TEST(RobustnessEvaluator, ModelLeftUntouched) {
   EXPECT_EQ(f.model->params()[0]->value[0], before);
 }
 
-TEST(RobustnessEvaluator, FloatEvaluatorRejectsCodeSpaceModels) {
+TEST(RobustnessEvaluator, EachModeRejectsTheOtherFaultSpace) {
   Fixture f;
   BitErrorConfig cfg;
-  RobustnessEvaluator evaluator(*f.model);
-  EXPECT_THROW(evaluator.run(RandomBitErrorModel(cfg), f.data, 2),
+  RobustnessEvaluator float_eval(*f.model);
+  EXPECT_THROW(float_eval.run(RandomBitErrorModel(cfg), f.data, 2),
+               std::invalid_argument);
+  RobustnessEvaluator quant_eval(*f.model, QuantScheme::rquant(8));
+  EXPECT_THROW(quant_eval.run(LinfNoiseModel(0.1), f.data, 2),
                std::invalid_argument);
 }
 
-TEST(RobustnessEvaluator, WeightSpaceModelOnQuantizedEvaluator) {
-  // A kFloatWeights model on a quantizing evaluator perturbs the dequantized
-  // weights; at eps=0 this equals the quantized clean error for every trial.
+// A persistent code-space model whose chip 2 fails: apply() and
+// fault_list() throw for trial 2 and inject nothing for the other trials.
+class FailingChipModel : public FaultModel {
+ public:
+  std::string describe() const override { return "failing chip"; }
+  std::size_t apply(NetSnapshot& snap, std::uint64_t trial) const override {
+    fail_on_chip2(trial);
+    return clean_.apply(snap, trial);
+  }
+  bool persistent() const override { return true; }
+  ChipFaultList fault_list(const NetSnapshot& layout, std::uint64_t trial,
+                           double p_max) const override {
+    fail_on_chip2(trial);
+    return clean_.fault_list(layout, trial, p_max);
+  }
+
+ private:
+  static void fail_on_chip2(std::uint64_t trial) {
+    if (trial == 2) throw std::runtime_error("chip 2 failed");
+  }
+  RandomBitErrorModel clean_{BitErrorConfig{}};  // p = 0
+};
+
+TEST(RobustnessEvaluator, TrialExceptionReachesCallerAndEvaluatorRecovers) {
   Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  const RobustResult r =
-      RobustnessEvaluator(*f.model, scheme).run(LinfNoiseModel(0.0), f.data, 3);
-  const float qerr = test_error(*f.model, f.data, &scheme);
-  for (float e : r.per_chip) EXPECT_EQ(e, qerr);
+  const RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
+  const FailingChipModel failing;
+  const auto expect_chip2_failure = [](const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << "the failing trial did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chip 2 failed");
+    }
+  };
+  expect_chip2_failure([&] { evaluator.run(failing, f.data, 4); });
+  expect_chip2_failure(
+      [&] { evaluator.run_rate_sweep(failing, {0.0, 0.01}, f.data, 4); });
+
+  BitErrorConfig cfg;
+  cfg.p = 0.02;
+  const RandomBitErrorModel random(cfg);
+  const RobustResult after = evaluator.run(random, f.data, 4);
+  const RobustResult fresh =
+      RobustnessEvaluator(*f.model, QuantScheme::rquant(8)).run(random, f.data,
+                                                                4);
+  EXPECT_EQ(after.per_chip, fresh.per_chip);
 }
 
 TEST(EccProtectedModel, ComposesWithPersistentInnerModel) {

@@ -245,6 +245,44 @@ TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
   obs::fault_ledger().clear();
 }
 
+TEST(ForensicsProbes, RunMatchesOnePointSweep) {
+  // run() is the one-point grid of the sweep's trial loop: the same trial
+  // tokens, so the same ledger rows, probe rows and per-trial errors.
+  Fixture f(60);
+  BitErrorConfig cfg;
+  cfg.p = 0.02;
+  const RandomBitErrorModel random(cfg);
+  obs::Counter& counter = obs::registry().counter("faults.words_patched");
+  const auto campaign =
+      [&](const std::function<void(const RobustnessEvaluator&)>& run) {
+        RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
+        obs::fault_ledger().clear();
+        obs::fault_ledger().set_enabled(true);
+        obs::ForensicsOptions fo;
+        fo.probe_images = 16;
+        obs::ForensicsCollector collector(fo);
+        collector.prepare_probes(*f.model, ev.snapshot(),
+                                 ev.compute_on_codes(), f.data);
+        ev.set_forensics(&collector, "eval");
+        const std::uint64_t before = counter.value();
+        run(ev);
+        obs::fault_ledger().set_enabled(false);
+        const Json j = collector.to_json(counter.value() - before);
+        EXPECT_TRUE(j.at("counter_reconciles").as_bool());
+        EXPECT_EQ(
+            j.at("profiles").at("eval").at("probes").at("trials").as_int(), 5);
+        return j.dump(2);
+      };
+
+  const std::string via_run = campaign(
+      [&](const RobustnessEvaluator& ev) { ev.run(random, f.data, 5, 30); });
+  const std::string via_sweep = campaign([&](const RobustnessEvaluator& ev) {
+    ev.run_rate_sweep(random, {cfg.p}, f.data, 5, 30);
+  });
+  EXPECT_EQ(via_run, via_sweep);
+  obs::fault_ledger().clear();
+}
+
 // ------------------------------------------------------------- attribution --
 
 TEST(ForensicsAttribution, AdversarialSeparatesFromRandomControl) {

@@ -494,35 +494,6 @@ TEST(CoalescedConv, GradcheckUnderBlockedBackend) {
 
 // ------------------------------------------- model-level integration ---
 
-TEST(BackendIntegration, SequentialPreferenceWinsAndSurvivesClone) {
-  Rng rng(31);
-  ModelConfig mc;
-  auto model = build_model(mc);
-  he_init(*model, rng);
-  Tensor x = Tensor::randn({4, mc.in_channels, mc.image_size, mc.image_size},
-                           rng);
-
-  Tensor y_scoped;
-  {
-    kernels::ScopedBackend g("blocked");
-    y_scoped = model->forward(x, false);
-  }
-  model->set_backend("blocked");
-  Tensor y_pref = model->forward(x, false);  // process default is reference
-  for (long i = 0; i < y_pref.numel(); ++i) {
-    ASSERT_EQ(y_pref[i], y_scoped[i]) << "preference != scoped override";
-  }
-
-  Sequential clone(*model);
-  EXPECT_EQ(clone.backend(), "blocked");
-  Tensor y_clone = clone.forward(x, false);
-  for (long i = 0; i < y_clone.numel(); ++i) ASSERT_EQ(y_clone[i], y_pref[i]);
-
-  EXPECT_THROW(model->set_backend("no-such-backend"), std::invalid_argument);
-  model->set_backend("");  // back to inherit
-  EXPECT_TRUE(model->backend().empty());
-}
-
 TEST(BackendIntegration, EvaluatorMatchesAcrossBackendsWithinTolerance) {
   Rng rng(32);
   ModelConfig mc;

@@ -209,11 +209,6 @@ TEST(ObsRegistry, SnapshotRoundTripsThroughJson) {
   const Json& hj = snap.at("histograms").at("test_obs.rt_hist{k=\"v\"}");
   EXPECT_EQ(hj.at("count").as_int(), 100);
   EXPECT_GT(hj.at("p99").as_number(), hj.at("p50").as_number());
-
-  // Prometheus exposition mentions the instruments too.
-  const std::string prom = obs::registry().to_prometheus();
-  EXPECT_NE(prom.find("test_obs_rt_counter"), std::string::npos);
-  EXPECT_NE(prom.find("quantile=\"0.99\""), std::string::npos);
 }
 
 TEST(ObsRegistry, ResetZeroesValuesKeepsHandles) {
@@ -455,48 +450,6 @@ TEST(ObsSlo, ScoreboardWindowsAndBudgetMath) {
   EXPECT_EQ(j.at("summary").at("shed").as_int(), 2);
   EXPECT_EQ(j.at("summary").at("windows_violated").as_int(), 2);
   EXPECT_FALSE(j.at("summary").at("slo_met").as_bool());
-}
-
-TEST(ObsRegistry, PrometheusEscapesLabelValues) {
-  obs::registry()
-      .counter("test_obs.esc", {{"path", "say \"hi\"\\dir\nend"}})
-      .add(1);
-  const std::string prom = obs::registry().to_prometheus();
-  EXPECT_NE(prom.find("path=\"say \\\"hi\\\"\\\\dir\\nend\""),
-            std::string::npos)
-      << prom;
-  // The raw control characters must be gone from the exposition line.
-  EXPECT_EQ(prom.find("say \"hi\""), std::string::npos);
-}
-
-TEST(ObsRegistry, PrometheusHistogramBucketsCumulativeWithInf) {
-  obs::Histogram& h = obs::registry().histogram("test_obs.prom_buckets");
-  h.record(1.0);
-  h.record(1.0);
-  h.record(10.0);
-  h.record(1e6);
-  const std::string prom = obs::registry().to_prometheus();
-  // Unit buckets below kSub are exact and the le bound is inclusive, so the
-  // two 1s land on le="1" and the 10 accumulates onto le="10".
-  EXPECT_NE(prom.find("test_obs_prom_buckets_bucket{le=\"1\"} 2"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("test_obs_prom_buckets_bucket{le=\"10\"} 3"),
-            std::string::npos)
-      << prom;
-  // The mandatory +Inf bucket closes the series at the total count.
-  EXPECT_NE(prom.find("test_obs_prom_buckets_bucket{le=\"+Inf\"} 4"),
-            std::string::npos)
-      << prom;
-  // The log-linear bucket holding 1e6 must carry an le bound that brackets
-  // it: lower <= 1e6 <= le (one cumulative line with value 4 before +Inf).
-  const std::size_t idx = Histogram::bucket_index(1000000);
-  const std::string line = "test_obs_prom_buckets_bucket{le=\"" +
-                           std::to_string(Histogram::bucket_upper(idx) - 1) +
-                           "\"} 4";
-  EXPECT_NE(prom.find(line), std::string::npos) << prom;
-  EXPECT_LE(Histogram::bucket_lower(idx), 1000000u);
-  EXPECT_GE(Histogram::bucket_upper(idx) - 1, 1000000u);
 }
 
 TEST(ObsTrace, BoundedBufferDropsAndCounts) {

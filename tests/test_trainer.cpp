@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "data/shapes.h"
+#include "kernels/backend.h"
 #include "models/factory.h"
 #include "obs/metrics.h"
 #include "train/trainer.h"
@@ -175,8 +176,8 @@ TrainStats randbet_trajectory(bool curricular) {
   tc.p_train = 0.02;
   tc.bit_error_loss_threshold = 99.0f;  // inject from epoch 1
   tc.epochs = 5;
-  tc.backend = "reference";
   auto model = build_model(t.model_cfg);
+  const kernels::ScopedBackend reference(kernels::backend("reference"));
   return train(*model, t.train_set, t.test_set, tc);
 }
 
