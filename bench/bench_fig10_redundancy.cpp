@@ -15,10 +15,10 @@ int main() {
   TablePrinter t({"Model", "rel. abs error", "weight relevance",
                   "ReLU relevance", "frac. (near-)zero w", "max |w|"});
   for (const auto& name : models) {
-    const zoo::Spec& s = zoo::spec(name);
+    const api::ModelEntry& s = zoo::spec(name);
     Sequential& model = zoo::get(name);
     const RedundancyStats stats = redundancy_stats(
-        model, s.train_cfg.quant, zoo::rerr_set(s.dataset), 0.01);
+        model, s.quant, zoo::dataset(s.dataset, "rerr"), 0.01);
     t.add_row({s.label, TablePrinter::fmt(stats.rel_abs_error, 4),
                TablePrinter::fmt(stats.weight_relevance, 3),
                TablePrinter::fmt(stats.relu_relevance, 3),

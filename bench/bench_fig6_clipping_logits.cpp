@@ -16,14 +16,14 @@ int main() {
                   "logit gap (clean)", "Conf clean (%)", "Conf p=1% (%)"});
   for (const auto& name : models) {
     Sequential& model = zoo::get(name);
-    const zoo::Spec& s = zoo::spec(name);
-    const Dataset& data = zoo::rerr_set(s.dataset);
+    const api::ModelEntry& s = zoo::spec(name);
+    const Dataset& data = zoo::dataset(s.dataset, "rerr");
 
     // Clean statistics on the deployed (quantized) weights.
     const auto params = model.params();
     WeightStash stash;
     stash.save(params);
-    NetQuantizer quantizer(s.train_cfg.quant);
+    NetQuantizer quantizer(s.quant);
     quantizer.write_dequantized(quantizer.quantize(params), params);
     const LogitStats clean = logit_stats(model, data);
     float wmax = 0.0f;

@@ -18,14 +18,15 @@ int main() {
   }
   TablePrinter t(headers);
   for (const auto& name : models) {
-    const zoo::Spec& s = zoo::spec(name);
+    const api::ModelEntry& s = zoo::spec(name);
     Sequential& model = zoo::get(name);
     // Float-space evaluator (no quantization), shared across the eps grid.
     RobustnessEvaluator evaluator(model);
     std::vector<std::string> row{s.label};
     for (double e : eps_grid) {
-      const RobustResult r = evaluator.run(
-          LinfNoiseModel(e), zoo::rerr_set(s.dataset), zoo::default_chips());
+      const RobustResult r =
+          evaluator.run(LinfNoiseModel(e), zoo::dataset(s.dataset, "rerr"),
+                        zoo::default_chips());
       row.push_back(TablePrinter::fmt(100.0 * r.mean_rerr, 2));
     }
     t.add_row(std::move(row));

@@ -10,7 +10,7 @@
 //   * health    — a forced degradation below the plan and the canary's
 //     step-up recovery.
 //
-// The trained model is cached as a serve checkpoint under the artifacts
+// The trained model is cached by zoo::load_or_train under the artifacts
 // dir, so reruns skip training. All accuracy/planning numbers are
 // bit-reproducible for the fixed seed; only the throughput/latency timings
 // vary run to run. BER_FAST=1 shrinks training and traffic to smoke scale.
@@ -43,43 +43,24 @@ int main() {
   const bool fast = fast_mode();
 
   // ------------------------------------------------------------- model ----
-  SyntheticConfig data_cfg = SyntheticConfig::cifar10();
-  data_cfg.n_train = fast ? 800 : 1500;
-  data_cfg.n_test = fast ? 200 : 500;
-  const Dataset train_set = make_synthetic(data_cfg, true);
-  const Dataset test_set = make_synthetic(data_cfg, false);
-
-  ModelConfig mc;
-  mc.width = 8;
-  auto model = build_model(mc);
-  TrainConfig tc;
-  tc.method = Method::kRandBET;
-  tc.wmax = 0.15f;
-  tc.p_train = 0.015;
-  tc.epochs = fast ? 14 : 30;
-  tc.lr_warmup_epochs = fast ? 1 : 3;
-
-  ensure_dir(artifacts_dir());
-  // Cache key carries the training config, so editing the recipe (or fast
-  // mode changing it) invalidates the cache instead of silently reporting a
-  // stale model; the stored scheme is checked against the recipe on load.
-  char ckpt_name[128];
-  std::snprintf(ckpt_name, sizeof(ckpt_name),
-                "/serve_randbet_w%d_e%d_p%g_%s.ckpt", mc.width, tc.epochs,
-                tc.p_train, tc.quant.str().c_str());
-  const std::string ckpt = artifacts_dir() + ckpt_name;
-  bool cached = file_exists(ckpt);
-  if (cached) {
-    if (load_checkpoint(ckpt, *model) != tc.quant) {
-      std::fprintf(stderr, "stale checkpoint scheme, retraining\n");
-      cached = false;
-    }
-  }
-  if (!cached) {
-    train(*model, train_set, test_set, tc);
-    save_checkpoint(ckpt, *model, tc.quant);
-  }
-  const QuantScheme scheme = tc.quant;
+  // A named recipe on the zoo's checkpoint cache: the fingerprint covers
+  // the whole recipe, so editing it (or fast mode changing it) retrains
+  // instead of silently reporting a stale model.
+  api::ModelEntry entry;
+  entry.name = "serve_randbet";
+  entry.dataset.config = SyntheticConfig::cifar10();
+  entry.dataset.config.n_train = fast ? 800 : 1500;
+  entry.dataset.config.n_test = fast ? 200 : 500;
+  entry.model.width = 8;
+  entry.train.method = Method::kRandBET;
+  entry.train.wmax = 0.15f;
+  entry.train.p_train = 0.015;
+  entry.train.epochs = fast ? 14 : 30;
+  entry.train.lr_warmup_epochs = fast ? 1 : 3;
+  const bool cached = file_exists(zoo::checkpoint_path(entry));
+  const std::unique_ptr<Sequential> model = zoo::load_or_train(entry);
+  const Dataset& test_set = zoo::dataset(entry.dataset, "test");
+  const QuantScheme scheme = entry.quant;
   const double clean_err = test_error(*model, test_set, &scheme);
 
   // ----------------------------------------------------------- planner ----

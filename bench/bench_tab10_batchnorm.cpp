@@ -9,7 +9,7 @@ using namespace ber::bench;
 
 // RErr with BN layers optionally switched to batch statistics at eval.
 RobustResult rerr_bn(const std::string& name, double p, bool batch_stats) {
-  const zoo::Spec& s = zoo::spec(name);
+  const api::ModelEntry& s = zoo::spec(name);
   Sequential& model = zoo::get(name);
   model.visit([&](Layer& l) {
     if (auto* bn = dynamic_cast<BatchNorm2d*>(&l)) {
@@ -19,8 +19,8 @@ RobustResult rerr_bn(const std::string& name, double p, bool batch_stats) {
   BitErrorConfig cfg;
   cfg.p = p;
   const RobustResult r =
-      RobustnessEvaluator(model, s.train_cfg.quant)
-          .run(RandomBitErrorModel(cfg, 1000), zoo::rerr_set(s.dataset),
+      RobustnessEvaluator(model, s.quant)
+          .run(RandomBitErrorModel(cfg, 1000), zoo::dataset(s.dataset, "rerr"),
                zoo::default_chips());
   model.visit([&](Layer& l) {
     if (auto* bn = dynamic_cast<BatchNorm2d*>(&l)) {

@@ -10,7 +10,7 @@ int main() {
 
   zoo::ensure({"c10_rquant", "c10_clip150"});
 
-  const zoo::Spec& rq = zoo::spec("c10_rquant");
+  const api::ModelEntry& rq = zoo::spec("c10_rquant");
   Sequential& rquant = zoo::get("c10_rquant");
   Sequential& clipped = zoo::get("c10_clip150");
 
@@ -35,7 +35,7 @@ int main() {
     BitErrorConfig c01, c1;
     c01.p = 0.001;
     c1.p = 0.01;
-    const QuantScheme scheme = rq.train_cfg.quant;
+    const QuantScheme scheme = rq.quant;
     const float err = 100.0f * test_error(model, zoo::test_set("c10"), &scheme);
     const RobustnessEvaluator evaluator(model, scheme);
     const Dataset& data = zoo::rerr_set("c10");

@@ -19,15 +19,15 @@ int main() {
 
   zoo::ensure({"c10_clip100"});
   Sequential& model = zoo::get("c10_clip100");
-  const zoo::Spec& s = zoo::spec("c10_clip100");
-  const Dataset& data = zoo::rerr_set(s.dataset);
+  const api::ModelEntry& s = zoo::spec("c10_clip100");
+  const Dataset& data = zoo::dataset(s.dataset, "rerr");
   BitErrorConfig cfg;
   cfg.p = 0.01;
 
   std::printf("Empirical stress test (Clipping_0.1, p=1%%):\n");
   TablePrinter t({"l (patterns)", "RErr (%)", "std (%)"});
   for (int l : {5, 20, fast_mode() ? 40 : 100}) {
-    const RobustResult r = RobustnessEvaluator(model, s.train_cfg.quant)
+    const RobustResult r = RobustnessEvaluator(model, s.quant)
                                .run(RandomBitErrorModel(cfg, 31000), data, l);
     t.add_row({std::to_string(l), TablePrinter::fmt(100.0 * r.mean_rerr, 2),
                TablePrinter::fmt(100.0 * r.std_rerr, 2)});

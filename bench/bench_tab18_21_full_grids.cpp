@@ -13,7 +13,7 @@ void grid_for(const std::string& tag, const std::string& title,
   std::printf("%s\n", title.c_str());
   std::vector<std::string> names;
   for (const auto& s : zoo::all_specs()) {
-    if (s.dataset == tag) names.push_back(s.name);
+    if (s.dataset.name == tag) names.push_back(s.name);
   }
   zoo::ensure(names);
 
@@ -24,9 +24,9 @@ void grid_for(const std::string& tag, const std::string& title,
   }
   TablePrinter t(headers);
   for (const auto& name : names) {
-    const zoo::Spec& s = zoo::spec(name);
+    const api::ModelEntry& s = zoo::spec(name);
     std::vector<std::string> row{s.label,
-                                 std::to_string(s.train_cfg.quant.bits),
+                                 std::to_string(s.quant.bits),
                                  TablePrinter::fmt(clean_err_pct(name), 2)};
     for (double p : grid) {
       row.push_back(TablePrinter::fmt(100.0 * rerr(name, p).mean_rerr, 2));

@@ -17,15 +17,15 @@ int main() {
   TablePrinter t({"Model", "Err (%)", "Conf (%)", "Conf p=1% (%)",
                   "RErr p=0.1% (%)", "RErr p=1% (%)"});
   auto add = [&](const std::string& name) {
-    const zoo::Spec& s = zoo::spec(name);
+    const api::ModelEntry& s = zoo::spec(name);
     Sequential& model = zoo::get(name);
     // Clean confidence on the quantized deployment weights.
     const auto params = model.params();
     WeightStash stash;
     stash.save(params);
-    NetQuantizer q(s.train_cfg.quant);
+    NetQuantizer q(s.quant);
     q.write_dequantized(q.quantize(params), params);
-    const EvalResult clean = evaluate(model, zoo::test_set(s.dataset));
+    const EvalResult clean = evaluate(model, zoo::dataset(s.dataset, "test"));
     stash.restore(params);
 
     const RobustResult r01 = rerr(name, 0.001);

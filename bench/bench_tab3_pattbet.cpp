@@ -16,10 +16,10 @@ int main() {
   TablePrinter t({"Model", "fixed pattern p=1%", "fixed pattern p=2.5%",
                   "random patterns p=1%", "random patterns p=2.5%"});
   for (const std::string name : {"c10_pattbet_p25", "c10_pattbet015_p25"}) {
-    const zoo::Spec& s = zoo::spec(name);
+    const api::ModelEntry& s = zoo::spec(name);
     Sequential& model = zoo::get(name);
-    const Dataset& data = zoo::rerr_set(s.dataset);
-    NetQuantizer quantizer(s.train_cfg.quant);
+    const Dataset& data = zoo::dataset(s.dataset, "rerr");
+    NetQuantizer quantizer(s.quant);
 
     auto fixed_pattern_rerr = [&](double p) {
       const auto params = model.params();
@@ -28,7 +28,7 @@ int main() {
       NetSnapshot snap = quantizer.quantize(params);
       BitErrorConfig cfg;
       cfg.p = p;
-      inject_random_bit_errors(snap, cfg, s.train_cfg.pattern_seed);
+      inject_random_bit_errors(snap, cfg, s.train.pattern_seed);
       quantizer.write_dequantized(snap, params);
       const float err = evaluate(model, data).error;
       stash.restore(params);

@@ -14,8 +14,8 @@ int main() {
 
   TablePrinter t({"Dataset", "Model", "m (bits)", "Err (%)"});
   for (const auto& name : models) {
-    const zoo::Spec& s = zoo::spec(name);
-    t.add_row({s.dataset, s.label, std::to_string(s.train_cfg.quant.bits),
+    const api::ModelEntry& s = zoo::spec(name);
+    t.add_row({s.dataset.name, s.label, std::to_string(s.quant.bits),
                TablePrinter::fmt(clean_err_pct(name), 2)});
   }
   t.print();

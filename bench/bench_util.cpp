@@ -17,14 +17,14 @@ void banner(const std::string& paper_ref, const std::string& what) {
 }
 
 double clean_err_pct(const std::string& name) {
-  const zoo::Spec& s = zoo::spec(name);
+  const api::ModelEntry& s = zoo::spec(name);
   Sequential& model = zoo::get(name);
-  const QuantScheme scheme = s.train_cfg.quant;
-  return 100.0 * test_error(model, zoo::test_set(s.dataset), &scheme);
+  const QuantScheme scheme = s.quant;
+  return 100.0 * test_error(model, zoo::dataset(s.dataset, "test"), &scheme);
 }
 
 RobustResult rerr(const std::string& name, double p) {
-  return rerr_with_scheme(name, zoo::scheme_of(name), p);
+  return rerr_with_scheme(name, zoo::spec(name).quant, p);
 }
 
 RobustResult rerr_with_scheme(const std::string& name,

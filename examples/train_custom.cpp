@@ -7,7 +7,7 @@
 //     bits:    2..16                     (default 8)
 //     wmax:    weight clipping bound     (default 0.1; 0 disables)
 //     p_train: bit error rate in %       (default 1)
-//     out:     checkpoint path           (default ./custom.model)
+//     out:     checkpoint path           (default ./custom.ckpt)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const int bits = argc > 3 ? std::atoi(argv[3]) : 8;
   const float wmax = argc > 4 ? static_cast<float>(std::atof(argv[4])) : 0.1f;
   const double p_train = (argc > 5 ? std::atof(argv[5]) : 1.0) / 100.0;
-  const std::string out = argc > 6 ? argv[6] : "custom.model";
+  const std::string out = argc > 6 ? argv[6] : "custom.ckpt";
 
   SyntheticConfig data_cfg;
   if (dataset == "c10") {
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                 100 * r.std_rerr);
   }
 
-  model->save(out);
+  save_checkpoint(out, *model, tc.quant);
   std::printf("checkpoint written to %s\n", out.c_str());
   return 0;
 }

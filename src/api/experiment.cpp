@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -11,40 +10,17 @@
 
 #include "api/registry.h"
 #include "api/zoo.h"
-#include "core/env.h"
-#include "data/source.h"
-#include "data/store.h"
 #include "eval/metrics.h"
 #include "kernels/backend.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/checkpoint.h"
 #include "serve/replica_pool.h"
 #include "tensor/ops.h"
 
 namespace ber::api {
 
 namespace {
-
-// FNV-1a fingerprint of an inline model entry's normalized JSON — the
-// checkpoint cache key, so editing any part of the recipe retrains instead
-// of silently loading a stale artifact. Display-only fields are excluded:
-// relabeling a report row must not invalidate the cache.
-std::string fingerprint(const ModelEntry& entry) {
-  ModelEntry hashed = entry;
-  hashed.label.clear();
-  const std::string text = model_entry_to_json(hashed).dump();
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
 
 Json robust_result_json(double x, const std::string& axis,
                         const RobustResult& r) {
@@ -131,16 +107,6 @@ Runner::Runner(ExperimentSpec spec) : spec_(std::move(spec)) {
   spec_.validate();
 }
 
-const Dataset& Runner::dataset(const DatasetSection& section, bool train) {
-  // One keyed store for the whole process (data/store.h): an inline spec
-  // model and a zoo model naming the same data share a materialization;
-  // load_split reads file-backed sources in full on the first request.
-  data::SourceSpec src{section.source, section.path, section.config};
-  return data::dataset_store().get(
-      data::dataset_key(src, train ? "train" : "test"),
-      [&] { return data::load_split(src, train); });
-}
-
 const Dataset& Runner::subset(const Dataset& full, long n) {
   n = std::min(n, full.size());
   std::unique_ptr<Dataset>& slot = subsets_[{&full, n}];
@@ -154,91 +120,41 @@ int Runner::n_trials() const {
 
 Runner::ResolvedModel Runner::resolve(const ModelEntry& entry) {
   BER_TRACE_SCOPE("runner", "resolve");
+  const ModelEntry& recipe = entry.is_zoo() ? zoo::spec(entry.zoo) : entry;
   ResolvedModel rm;
-  if (entry.is_zoo()) {
-    const zoo::Spec& zs = zoo::spec(entry.zoo);
-    rm.model = &zoo::get(entry.zoo);
-    rm.scheme = zoo::scheme_of(entry.zoo);
-    rm.name = entry.zoo;
-    rm.label = entry.label.empty() ? zs.label : entry.label;
-    rm.train_set = &zoo::train_set(zs.dataset);
-    rm.test_set = &zoo::test_set(zs.dataset);
-    rm.eval_set = spec_.eval.split == "rerr" ? &zoo::rerr_set(zs.dataset)
-                                             : rm.test_set;
-  } else {
-    const Dataset& train_data = dataset(entry.dataset, /*train=*/true);
-    const Dataset& test_data = dataset(entry.dataset, /*train=*/false);
-    if (entry.dataset.source != "synthetic") {
-      // File-backed geometry is only known once the files are read (shard
-      // headers especially); a mismatch against the model section would
-      // otherwise surface as a shape error deep inside the first forward.
-      for (const Dataset* d : {&train_data, &test_data}) {
-        if (d->channels() != entry.model.in_channels ||
-            d->height() != entry.model.image_size ||
-            d->width() != entry.model.image_size ||
-            d->num_classes != entry.model.num_classes) {
-          throw std::invalid_argument(
-              "experiment \"" + spec_.name + "\": dataset at \"" +
-              entry.dataset.path + "\" is [" + std::to_string(d->channels()) +
-              "x" + std::to_string(d->height()) + "x" +
-              std::to_string(d->width()) + "], " +
-              std::to_string(d->num_classes) + " classes, but the model "
-              "section says in_channels=" +
-              std::to_string(entry.model.in_channels) + " image_size=" +
-              std::to_string(entry.model.image_size) + " num_classes=" +
-              std::to_string(entry.model.num_classes));
-        }
+  rm.train_set = &zoo::dataset(recipe.dataset, "train");
+  rm.test_set = &zoo::dataset(recipe.dataset, "test");
+  if (recipe.dataset.source != "synthetic") {
+    // File-backed geometry is only known once the files are read (shard
+    // headers especially); a mismatch against the model section would
+    // otherwise surface as a shape error deep inside the first forward.
+    const ModelConfig& mc = recipe.model;
+    for (const Dataset* d : {rm.train_set, rm.test_set}) {
+      if (d->channels() != mc.in_channels || d->height() != mc.image_size ||
+          d->width() != mc.image_size || d->num_classes != mc.num_classes) {
+        throw std::invalid_argument(
+            "experiment \"" + spec_.name + "\": dataset at \"" +
+            recipe.dataset.path + "\" is [" + std::to_string(d->channels()) +
+            "x" + std::to_string(d->height()) + "x" +
+            std::to_string(d->width()) + "], " +
+            std::to_string(d->num_classes) + " classes, but the model "
+            "section says in_channels=" + std::to_string(mc.in_channels) +
+            " image_size=" + std::to_string(mc.image_size) +
+            " num_classes=" + std::to_string(mc.num_classes));
       }
     }
-    auto model = build_model(entry.model);
-    const std::string ckpt =
-        entry.name.empty()
-            ? ""
-            : artifacts_dir() + "/api_" + entry.name + "_" +
-                  fingerprint(entry) + ".ckpt";
-    bool loaded = false;
-    if (!ckpt.empty() && file_exists(ckpt)) {
-      // The fingerprint covers the recipe, but stay defensive about stale /
-      // hand-edited artifacts: a mismatched stored scheme, or a truncated /
-      // corrupt file, forces a retrain (train() re-initializes the weights,
-      // so a partial load leaves no trace).
-      try {
-        loaded = load_checkpoint(ckpt, *model) == entry.quant;
-      } catch (const std::exception&) {
-        loaded = false;
-      }
-    }
-    if (!loaded) {
-      // The training scheme is ALWAYS the entry's quant section — the JSON
-      // parse path mirrors it, and enforcing it here covers builder-made
-      // entries where train.quant was left at its default.
-      TrainConfig tc = entry.train;
-      tc.quant = entry.quant;
-      // Training pins the reference backend (like the zoo) so a cached
-      // artifact never depends on which backend the surrounding run uses.
-      const kernels::ScopedBackend guard(kernels::backend("reference"));
-      BER_TRACE_SCOPE("runner", "train");
-      train(*model, train_data, test_data, tc);
-      if (!ckpt.empty()) {
-        ensure_dir(artifacts_dir());
-        save_checkpoint(ckpt, *model, entry.quant);
-      }
-    }
-    rm.scheme = entry.quant;
-    rm.name = entry.name.empty() ? "inline" : entry.name;
-    rm.label = entry.label.empty() ? rm.name : entry.label;
-    rm.train_set = &train_data;
-    rm.test_set = &test_data;
-    if (spec_.eval.split == "rerr") {
-      rm.eval_set =
-          &subset(test_data, fast_mode() ? 200 : 500);
-    } else {
-      rm.eval_set = &test_data;
-    }
-    owned_models_.push_back(std::move(model));
-    rm.model = owned_models_.back().get();
   }
-  if (spec_.eval.has_quant_override) rm.scheme = spec_.eval.quant_override;
+  owned_models_.push_back(zoo::load_or_train(recipe));
+  rm.model = owned_models_.back().get();
+  rm.scheme = spec_.eval.has_quant_override ? spec_.eval.quant_override
+                                            : recipe.quant;
+  rm.name = recipe.name.empty() ? "inline" : recipe.name;
+  rm.label = !entry.label.empty()    ? entry.label
+             : !recipe.label.empty() ? recipe.label
+                                     : rm.name;
+  rm.eval_set = spec_.eval.split == "rerr"
+                    ? &zoo::dataset(recipe.dataset, "rerr")
+                    : rm.test_set;
   if (spec_.eval.subset > 0) {
     rm.eval_set = &subset(*rm.eval_set, spec_.eval.subset);
   }

@@ -1,11 +1,12 @@
 // The experiment engine: a fluent builder over ExperimentSpec, a Runner that
 // owns the two lifecycles behind every number in the repo —
 //
-//   robustness:  resolve model (zoo / train / checkpoint cache) ->
-//                quantize once -> construct the fault model by registry
-//                name -> sweep (rate grid / voltage grid / generic param
-//                grid / single point) -> aggregate
-//   serve:       resolve model -> checkpoint -> plan the operating point
+//   robustness:  resolve model (zoo::load_or_train: the one recipe cache
+//                for zoo and inline entries) -> quantize once ->
+//                construct the fault model by name -> sweep (rate grid /
+//                voltage grid / generic param grid / single point) ->
+//                aggregate
+//   serve:       resolve model -> plan the operating point
 //                (voltage sweep + SRAM energy + SLO) -> deploy a fleet ->
 //                canary + optional traffic drive through the ReplicaPool
 //
@@ -77,8 +78,9 @@ struct Report {
   Json to_json() const;
 };
 
-// Executes a validated spec. The Runner owns inline-trained models and any
-// datasets it builds; zoo models stay in the zoo cache.
+// Executes a validated spec. The Runner owns the model of every entry it
+// resolves (loaded from, or trained into, the zoo's checkpoint cache) and
+// its eval subsets; full datasets live in data::dataset_store().
 class Runner {
  public:
   explicit Runner(ExperimentSpec spec);  // validates
@@ -96,7 +98,6 @@ class Runner {
   };
 
   ResolvedModel resolve(const ModelEntry& entry);
-  const Dataset& dataset(const DatasetSection& section, bool train);
   const Dataset& subset(const Dataset& full, long n);
   int n_trials() const;
 
@@ -105,9 +106,8 @@ class Runner {
 
   ExperimentSpec spec_;
   std::vector<std::unique_ptr<Sequential>> owned_models_;
-  // Eval subsets deduped by (parent dataset, n): a grid of models sharing
-  // one eval set materializes its head exactly once. Full datasets live in
-  // the process-wide data::dataset_store(), shared with the zoo.
+  // Explicit eval/canary subsets deduped by (parent dataset, n): a grid of
+  // models sharing one eval set materializes its head exactly once.
   std::map<std::pair<const Dataset*, long>, std::unique_ptr<Dataset>>
       subsets_;
 };

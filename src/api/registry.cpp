@@ -1,6 +1,7 @@
 #include "api/registry.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "attack/attacker.h"
 #include "biterror/profiled_chip.h"
@@ -11,6 +12,18 @@
 #include "faults/random_bit_error_model.h"
 
 namespace ber::api {
+
+namespace {
+
+[[noreturn]] void unknown(const std::string& what, const std::string& name,
+                          const std::vector<std::string>& known) {
+  std::string list;
+  for (const std::string& n : known) list += (list.empty() ? "" : ", ") + n;
+  throw std::invalid_argument("unknown " + what + " \"" + name +
+                              "\" (known: " + list + ")");
+}
+
+}  // namespace
 
 // -------------------------------------------------------------- ParamReader --
 
@@ -252,40 +265,38 @@ std::unique_ptr<FaultModel> make_adversarial(const Json& params,
       make_adversarial_model(attacker, *ctx.layout, trials));
 }
 
+using FaultFactory = std::unique_ptr<FaultModel> (*)(const Json&,
+                                                     const FaultContext&);
+
+constexpr std::pair<const char*, FaultFactory> kFaultModels[] = {
+    {"random", make_random},
+    {"profiled", make_profiled},
+    {"ecc", make_ecc},
+    {"linf", make_linf},
+    {"adversarial", make_adversarial},
+};
+
 }  // namespace
 
-FaultModelRegistry& fault_models() {
-  static FaultModelRegistry* registry = [] {
-    auto* r = new FaultModelRegistry("fault model");
-    r->add("random", make_random);
-    r->add("profiled", make_profiled);
-    r->add("ecc", make_ecc);
-    r->add("linf", make_linf);
-    r->add("adversarial", make_adversarial);
-    return r;
+const std::vector<std::string>& fault_model_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const auto& [name, factory] : kFaultModels) v.emplace_back(name);
+    return v;
   }();
-  return *registry;
+  return names;
 }
 
 std::unique_ptr<FaultModel> make_fault_model(const std::string& name,
                                              const Json& params,
                                              const FaultContext& ctx) {
-  return fault_models().make(name, params, ctx);
+  for (const auto& [known, factory] : kFaultModels) {
+    if (name == known) return factory(params, ctx);
+  }
+  unknown("fault model", name, fault_model_names());
 }
 
 // --------------------------------------------------- name <-> enum mappings --
-
-namespace {
-
-[[noreturn]] void unknown(const std::string& what, const std::string& name,
-                          const std::vector<std::string>& known) {
-  std::string list;
-  for (const std::string& n : known) list += (list.empty() ? "" : ", ") + n;
-  throw std::invalid_argument("unknown " + what + " \"" + name +
-                              "\" (known: " + list + ")");
-}
-
-}  // namespace
 
 Arch arch_by_name(const std::string& name) {
   if (name == "simplenet") return Arch::kSimpleNet;

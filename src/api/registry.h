@@ -1,10 +1,11 @@
-// String-keyed component registries for the declarative experiment API.
+// Name -> component mappings for the declarative experiment API.
 //
-// Mirrors the kernel-backend registry (kernels/backend.h): every component a
-// spec file can name — fault models, architectures, norms, datasets,
-// quantization schemes, training methods — is constructible by name plus a
-// JSON parameter map, so new scenarios are DECLARED (a config file, or a
-// fluent api::Experiment) instead of compiled into another bespoke binary.
+// Every component a spec file can name — fault models, architectures,
+// norms, datasets, quantization schemes, training methods — is
+// constructible by name (plus a JSON parameter map for fault models), so
+// new scenarios are DECLARED (a config file, or a fluent api::Experiment)
+// instead of compiled into another bespoke binary. Each mapping is a fixed
+// table; the *_names() lists are what `ber_run --list` prints.
 //
 // Unknown names throw std::invalid_argument listing the known names; unknown
 // parameter keys throw with the offending key and the accepted ones (see
@@ -12,11 +13,8 @@
 // of silently running a default scenario.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/json.h"
@@ -30,74 +28,11 @@
 
 namespace ber::api {
 
-// ---------------------------------------------------------------- Registry --
-
-// Generic name -> factory registry. R is the constructed type, Args the
-// factory inputs (e.g. the JSON parameter map and a construction context).
-template <typename Signature>
-class Registry;
-
-template <typename R, typename... Args>
-class Registry<R(Args...)> {
- public:
-  using Factory = std::function<R(Args...)>;
-
-  explicit Registry(std::string what) : what_(std::move(what)) {}
-
-  void add(const std::string& name, Factory factory) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [known, f] : entries_) {
-      if (known == name) {
-        throw std::invalid_argument(what_ + " registry: duplicate name \"" +
-                                    name + "\"");
-      }
-    }
-    entries_.emplace_back(name, std::move(factory));
-  }
-
-  bool contains(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [known, f] : entries_) {
-      if (known == name) return true;
-    }
-    return false;
-  }
-
-  std::vector<std::string> names() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, f] : entries_) out.push_back(name);
-    return out;
-  }
-
-  R make(const std::string& name, Args... args) const {
-    Factory factory;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [known, f] : entries_) {
-        if (known == name) { factory = f; break; }
-      }
-    }
-    if (!factory) {
-      std::string msg = "unknown " + what_ + " \"" + name + "\" (known:";
-      for (const std::string& n : names()) msg += " " + n;
-      throw std::invalid_argument(msg + ")");
-    }
-    return factory(std::forward<Args>(args)...);
-  }
-
- private:
-  std::string what_;
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::string, Factory>> entries_;
-};
-
 // -------------------------------------------------------------- ParamReader --
 
 // Checked reader over a JSON parameter object: typed getters with defaults,
 // and finish() rejects keys nobody consumed ("fault 'random': unknown key
-// 'pp' (known: p, flip_fraction, ...)"). Every registry factory and spec
+// 'pp' (known: p, flip_fraction, ...)"). Every fault-model factory and spec
 // section parser funnels its JSON through one of these.
 class ParamReader {
  public:
@@ -144,10 +79,7 @@ struct FaultContext {
   int n_trials = 0;                     // trials the evaluator will run
 };
 
-using FaultModelRegistry =
-    Registry<std::unique_ptr<FaultModel>(const Json&, const FaultContext&)>;
-
-// The process-wide fault-model registry, preloaded with the five built-ins:
+// Constructs one of the five built-in fault models by name:
 //   random      — RandomBitErrorModel   (p, flip/set1/set0 fractions, seed_base)
 //   profiled    — ProfiledChipModel     (chip preset or geometry, voltage, seed)
 //   ecc         — EccProtectedModel     (p, seed_base, persistent composition)
@@ -155,9 +87,6 @@ using FaultModelRegistry =
 //   adversarial — AdversarialBitErrorModel via BitFlipAttacker (budget,
 //                 rounds, schedule, ...; control=true for the budget-matched
 //                 random-flip control)
-FaultModelRegistry& fault_models();
-
-// Convenience: fault_models().make(name, params, ctx).
 std::unique_ptr<FaultModel> make_fault_model(const std::string& name,
                                              const Json& params,
                                              const FaultContext& ctx);
@@ -175,6 +104,7 @@ QuantScheme quant_scheme_by_name(const std::string& name, int bits);
 
 // The accepted names, for tooling (`ber_run --list`) — the single source of
 // truth the *_by_name mappings accept.
+const std::vector<std::string>& fault_model_names();
 const std::vector<std::string>& arch_names();
 const std::vector<std::string>& norm_names();
 const std::vector<std::string>& method_names();

@@ -67,8 +67,8 @@ Json dataset_to_json(const DatasetSection& d) {
     if (d.config.n_test > 0) j.set("n_test", d.config.n_test);
     return j;
   }
-  // The synthetic form is frozen: it feeds the inline-model fingerprint
-  // (api/experiment.cpp), so emitting new keys here would invalidate every
+  // The synthetic form is frozen: it feeds the recipe fingerprint
+  // (zoo::checkpoint_path), so emitting new keys here would invalidate every
   // cached checkpoint.
   j.set("name", d.name);
   j.set("n_train", d.config.n_train);
@@ -569,17 +569,13 @@ void ExperimentSpec::validate() const {
   if (kind != "robustness" && kind != "serve") {
     fail("\"kind\" must be \"robustness\" or \"serve\", got \"" + kind + "\"");
   }
-  // Backend and fault-model names resolve against their registries (both
-  // throw listing the known names).
+  // Unknown backend names throw listing the known names.
   (void)kernels::backend(backend);
-  if (!fault_models().contains(fault.model)) {
-    // Reuse the registry's message (lists known names).
-    (void)fault_models().make(fault.model, Json::object(), FaultContext{});
-  }
   if (models.empty()) fail("at least one model entry is required");
-  // Dry-construct context-free fault models so parameter typos fail here
-  // with the factory's message instead of mid-run ("adversarial" needs a
-  // model + data context and is validated by the Runner).
+  // Dry-construct context-free fault models so unknown names and parameter
+  // typos fail here with the factory's message instead of mid-run
+  // ("adversarial" needs a model + data context and is validated by the
+  // Runner).
   if (fault.model != "adversarial") {
     (void)make_fault_model(fault.model, resolved_fault_params(*this, nullptr),
                            FaultContext{});

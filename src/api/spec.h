@@ -43,12 +43,14 @@ struct DatasetSection {
   SyntheticConfig config;            // resolved preset / geometry + caps
 };
 
-// One model of the experiment: either a zoo reference ({"zoo": "<name>"})
-// or an inline definition with dataset / model / quant / train sections.
+// One trained recipe: either a zoo reference ({"zoo": "<name>"}, naming one
+// of the zoo's own recipes, api/zoo.h) or an inline definition with
+// dataset / model / quant / train sections. Both resolve through
+// zoo::load_or_train.
 struct ModelEntry {
-  std::string zoo;    // non-empty -> zoo model; all other fields unused
-  std::string name;   // inline: artifact cache stem ("" = retrain every run)
-  std::string label;  // report row label ("" = name, or the zoo label)
+  std::string zoo;    // non-empty -> zoo reference; only `label` also read
+  std::string name;   // checkpoint cache stem ("" = retrain every run)
+  std::string label;  // report row label ("" = the recipe's label, else name)
   DatasetSection dataset;
   ModelConfig model;
   QuantScheme quant = QuantScheme::rquant();

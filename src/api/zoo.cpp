@@ -1,5 +1,6 @@
 #include "api/zoo.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -10,24 +11,28 @@
 #include "core/env.h"
 #include "core/parallel.h"
 #include "core/table.h"
-#include "data/shapes.h"
+#include "data/io.h"
 #include "data/source.h"
 #include "data/store.h"
 #include "kernels/backend.h"
+#include "obs/trace.h"
+#include "serve/checkpoint.h"
 
 namespace ber::zoo {
 
 namespace {
 
-// One source of truth for tag -> dataset preset: the api registry (inline
-// spec models and zoo models must agree on what "c10" means).
-SyntheticConfig data_config(const std::string& tag) {
-  return api::dataset_by_name(tag);
+// The dataset section {"dataset": {"name": tag}} parses to.
+api::DatasetSection section(const std::string& tag) {
+  api::DatasetSection d;
+  d.name = tag;
+  d.config = api::dataset_by_name(tag);
+  return d;
 }
 
 ModelConfig model_for(const std::string& tag) {
   ModelConfig mc;
-  const SyntheticConfig dc = data_config(tag);
+  const SyntheticConfig dc = api::dataset_by_name(tag);
   mc.in_channels = dc.channels;
   mc.image_size = dc.image_size;
   mc.num_classes = dc.num_classes;
@@ -48,30 +53,31 @@ TrainConfig base_train(const std::string& tag) {
   return tc;
 }
 
-// Shorthand builders for the spec table.
-Spec make(const std::string& name, const std::string& tag, Method method,
-          QuantScheme quant, float wmax, double p_train,
-          const std::string& label) {
-  Spec s;
+// Shorthand builder for the recipe table.
+api::ModelEntry make(const std::string& name, const std::string& tag,
+                     Method method, QuantScheme quant, float wmax,
+                     double p_train, const std::string& label) {
+  api::ModelEntry s;
   s.name = name;
-  s.dataset = tag;
+  s.label = label;
+  s.dataset = section(tag);
   s.model = model_for(tag);
-  s.train_cfg = base_train(tag);
-  s.train_cfg.method = method;
-  s.train_cfg.quant = quant;
-  s.train_cfg.wmax = wmax;
-  s.train_cfg.p_train = p_train;
+  s.quant = quant;
+  s.train = base_train(tag);
+  s.train.method = method;
+  s.train.quant = quant;
+  s.train.wmax = wmax;
+  s.train.p_train = p_train;
   if (quant.bits <= 4) {
     // Low-precision QAT needs a gentler schedule at this model scale.
-    s.train_cfg.sgd.lr = 0.03f;
-    s.train_cfg.lr_warmup_epochs = 6;
+    s.train.sgd.lr = 0.03f;
+    s.train.lr_warmup_epochs = 6;
   }
-  s.label = label;
   return s;
 }
 
-std::vector<Spec> build_specs() {
-  std::vector<Spec> v;
+std::vector<api::ModelEntry> build_specs() {
+  std::vector<api::ModelEntry> v;
   const QuantScheme rq8 = QuantScheme::rquant(8);
   const QuantScheme rq4 = QuantScheme::rquant(4);
 
@@ -99,17 +105,17 @@ std::vector<Spec> build_specs() {
   // nets have a 48-wide head, so their natural weight scale is larger; the
   // sweep spans the same regimes (harmless -> effective -> too aggressive).
   for (float wmax : {0.3f, 0.2f, 0.15f, 0.1f}) {
-    Spec s = make("c10_clip" + std::to_string(static_cast<int>(wmax * 1000)),
+    auto s = make("c10_clip" + std::to_string(static_cast<int>(wmax * 1000)),
                   "c10", Method::kClipping, rq8, wmax, 0,
                   "Clipping_" + TablePrinter::fmt(wmax, 2));
     v.push_back(std::move(s));
   }
   for (float wmax : {0.2f, 0.15f}) {
-    Spec s = make(
+    auto s = make(
         "c10_clip" + std::to_string(static_cast<int>(wmax * 1000)) + "_ls",
         "c10", Method::kClipping, rq8, wmax, 0,
         "Clipping_" + TablePrinter::fmt(wmax, 2) + "+LS");
-    s.train_cfg.label_smoothing = 0.1f;
+    s.train.label_smoothing = 0.1f;
     v.push_back(std::move(s));
   }
 
@@ -131,11 +137,11 @@ std::vector<Spec> build_specs() {
 
   // --- Tab. 10 BatchNorm comparison.
   {
-    Spec s = make("c10_rquant_bn", "c10", Method::kNormal, rq8, 0, 0,
+    auto s = make("c10_rquant_bn", "c10", Method::kNormal, rq8, 0, 0,
                   "BN RQuant");
     s.model.norm = NormKind::kBatchNorm;
     v.push_back(std::move(s));
-    Spec c = make("c10_clip015_bn", "c10", Method::kClipping, rq8, 0.15f, 0,
+    auto c = make("c10_clip015_bn", "c10", Method::kClipping, rq8, 0.15f, 0,
                   "BN Clipping_0.15");
     c.model.norm = NormKind::kBatchNorm;
     v.push_back(std::move(c));
@@ -148,20 +154,20 @@ std::vector<Spec> build_specs() {
            {"clip015", Method::kClipping, 0.15f, 0.0, "ResNet Clipping_0.15"},
            {"randbet015_p1", Method::kRandBET, 0.15f, 0.01,
             "ResNet RandBET_0.15 p=1"}}) {
-    Spec s = make("c10_resnet_" + suffix, "c10", method, rq8, wmax, p, label);
+    auto s = make("c10_resnet_" + suffix, "c10", method, rq8, wmax, p, label);
     s.model.arch = Arch::kResNetSmall;
     v.push_back(std::move(s));
   }
 
   // --- Tab. 9 post-training quantization (no QAT).
   {
-    Spec s = make("c10_noqat", "c10", Method::kNormal, rq8, 0, 0,
+    auto s = make("c10_noqat", "c10", Method::kNormal, rq8, 0, 0,
                   "RQuant (post-train)");
-    s.train_cfg.quant_aware = false;
+    s.train.quant_aware = false;
     v.push_back(std::move(s));
-    Spec c = make("c10_noqat_clip015", "c10", Method::kClipping, rq8, 0.15f, 0,
+    auto c = make("c10_noqat_clip015", "c10", Method::kClipping, rq8, 0.15f, 0,
                   "Clipping_0.15 (post-train)");
-    c.train_cfg.quant_aware = false;
+    c.train.quant_aware = false;
     v.push_back(std::move(c));
   }
 
@@ -175,13 +181,13 @@ std::vector<Spec> build_specs() {
 
   // --- Tab. 13 RandBET variants.
   {
-    Spec s = make("c10_randbet015_p1_curr", "c10", Method::kRandBET, rq8,
+    auto s = make("c10_randbet015_p1_curr", "c10", Method::kRandBET, rq8,
                   0.15f, 0.01, "Curr. RandBET_0.15 p=1");
-    s.train_cfg.curricular = true;
+    s.train.curricular = true;
     v.push_back(std::move(s));
-    Spec a = make("c10_randbet015_p1_alt", "c10", Method::kRandBET, rq8, 0.15f,
+    auto a = make("c10_randbet015_p1_alt", "c10", Method::kRandBET, rq8, 0.15f,
                   0.01, "Alt. RandBET_0.15 p=1");
-    a.train_cfg.alternating = true;
+    a.train.alternating = true;
     v.push_back(std::move(a));
   }
 
@@ -208,104 +214,122 @@ std::vector<Spec> build_specs() {
   return v;
 }
 
-std::mutex& zoo_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// Zoo datasets live in the process-wide data::dataset_store() under the
-// same canonical keys the Runner uses, so "zoo c10" and an inline spec
-// model on the c10 preset share one materialization.
-const Dataset& dataset(const std::string& key) {
-  const std::string tag = key.substr(0, key.find('/'));
-  const std::string split = key.substr(key.find('/') + 1);
-  data::SourceSpec src;
-  src.synthetic = data_config(tag);
-  if (split == "rerr") {
-    // Derived from test — materialize the parent first (store builders must
-    // not recurse into the store).
-    const Dataset& test = dataset(tag + "/test");
-    const long n = fast_mode() ? 200 : 500;
-    return data::dataset_store().get(
-        data::dataset_key(src, "test") + "/head" + std::to_string(n),
-        [&] { return test.head(n); });
-  }
-  return data::dataset_store().get(
-      data::dataset_key(src, split),
-      [&] { return data::load_split(src, split == "train"); });
-}
-
-std::string artifact_path(const Spec& s) {
-  return artifacts_dir() + "/" + s.name + ".model";
-}
-
-// Trains the spec and writes the checkpoint (no memoization). Pinned to the
-// reference backend: cached artifacts must be identical no matter which
-// backend the surrounding process runs, or the zoo cache would silently mix
-// training histories.
-void train_to_disk(const Spec& s) {
-  const kernels::ScopedBackend backend_guard(kernels::backend("reference"));
-  auto model = build_model(s.model);
-  const TrainStats stats =
-      train(*model, train_set(s.dataset), test_set(s.dataset), s.train_cfg);
-  ensure_dir(artifacts_dir());
-  model->save(artifact_path(s));
-  std::fprintf(stderr, "[zoo] trained %-28s Err %.2f%%\n", s.name.c_str(),
-               100.0 * stats.final_test_err);
-}
-
 }  // namespace
 
-const std::vector<Spec>& all_specs() {
-  static const std::vector<Spec> specs = build_specs();
+const std::vector<api::ModelEntry>& all_specs() {
+  static const std::vector<api::ModelEntry> specs = build_specs();
   return specs;
 }
 
-const Spec& spec(const std::string& name) {
-  for (const Spec& s : all_specs()) {
+const api::ModelEntry& spec(const std::string& name) {
+  for (const api::ModelEntry& s : all_specs()) {
     if (s.name == name) return s;
   }
   throw std::invalid_argument("zoo: unknown model " + name);
 }
 
-const Dataset& train_set(const std::string& tag) { return dataset(tag + "/train"); }
-const Dataset& test_set(const std::string& tag) { return dataset(tag + "/test"); }
-const Dataset& rerr_set(const std::string& tag) { return dataset(tag + "/rerr"); }
+std::string checkpoint_path(const api::ModelEntry& entry) {
+  api::ModelEntry hashed = entry;
+  hashed.label.clear();
+  const std::string text = api::model_entry_to_json(hashed).dump();
+  char fp[17];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(data::fnv1a(
+                    reinterpret_cast<const unsigned char*>(text.data()),
+                    text.size())));
+  return artifacts_dir() + "/" + entry.name + "_" + fp + ".ckpt";
+}
+
+std::unique_ptr<Sequential> load_or_train(const api::ModelEntry& entry) {
+  const std::string path = entry.name.empty() ? "" : checkpoint_path(entry);
+  if (!path.empty() && file_exists(path)) {
+    // The fingerprint covers the recipe, but stay defensive about stale or
+    // hand-edited artifacts: a mismatched stored scheme, or a truncated /
+    // corrupt file, retrains.
+    auto model = build_model(entry.model);
+    try {
+      if (load_checkpoint(path, *model) == entry.quant) return model;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "[zoo] unreadable checkpoint, retraining: %s\n",
+                   e.what());
+    }
+  }
+  // The training scheme is always the entry's quant section (builder-made
+  // entries may leave train.quant at its default). Training pins the
+  // reference backend so a cached artifact never depends on which backend
+  // the surrounding process runs.
+  TrainConfig tc = entry.train;
+  tc.quant = entry.quant;
+  const kernels::ScopedBackend guard(kernels::backend("reference"));
+  BER_TRACE_SCOPE("zoo", "train");
+  auto model = build_model(entry.model);
+  const TrainStats stats = train(*model, dataset(entry.dataset, "train"),
+                                 dataset(entry.dataset, "test"), tc);
+  if (!path.empty()) {
+    ensure_dir(artifacts_dir());
+    save_checkpoint(path, *model, entry.quant);
+  }
+  std::fprintf(stderr, "[zoo] trained %-28s Err %.2f%%\n",
+               entry.name.empty() ? "(unnamed)" : entry.name.c_str(),
+               100.0 * stats.final_test_err);
+  return model;
+}
+
+const Dataset& dataset(const api::DatasetSection& section,
+                       const std::string& split) {
+  const data::SourceSpec src{section.source, section.path, section.config};
+  if (split == "rerr") {
+    // Derived from test: materialize the parent first (store builders must
+    // not recurse into the store).
+    const Dataset& test = dataset(section, "test");
+    const long n = std::min<long>(fast_mode() ? 200 : 500, test.size());
+    return data::dataset_store().get(
+        data::dataset_key(src, "test") + "/head" + std::to_string(n),
+        [&] { return test.head(n); });
+  }
+  if (split != "train" && split != "test") {
+    throw std::invalid_argument("zoo::dataset: unknown split \"" + split +
+                                "\" (train, test, rerr)");
+  }
+  return data::dataset_store().get(data::dataset_key(src, split), [&] {
+    return data::load_split(src, split == "train");
+  });
+}
+
+const Dataset& train_set(const std::string& tag) {
+  return dataset(section(tag), "train");
+}
+const Dataset& test_set(const std::string& tag) {
+  return dataset(section(tag), "test");
+}
+const Dataset& rerr_set(const std::string& tag) {
+  return dataset(section(tag), "rerr");
+}
 
 int default_chips() { return fast_mode() ? 2 : 5; }
 
-const QuantScheme& scheme_of(const std::string& name) {
-  return spec(name).train_cfg.quant;
-}
-
 Sequential& get(const std::string& name) {
+  static std::mutex mu;
   static std::map<std::string, std::unique_ptr<Sequential>> cache;
   {
-    std::lock_guard<std::mutex> lock(zoo_mutex());
+    std::lock_guard<std::mutex> lock(mu);
     auto it = cache.find(name);
     if (it != cache.end()) return *it->second;
   }
-  const Spec& s = spec(name);
-  if (!file_exists(artifact_path(s))) train_to_disk(s);
-  auto model = build_model(s.model);
-  model->load(artifact_path(s));
-  std::lock_guard<std::mutex> lock(zoo_mutex());
+  auto model = load_or_train(spec(name));
+  std::lock_guard<std::mutex> lock(mu);
   auto [it, inserted] = cache.emplace(name, std::move(model));
   return *it->second;
 }
 
 void ensure(const std::vector<std::string>& names) {
-  // Datasets must exist before parallel training (dataset() locks).
-  std::vector<const Spec*> missing;
+  std::vector<const api::ModelEntry*> missing;
   for (const auto& n : names) {
-    const Spec& s = spec(n);
-    train_set(s.dataset);
-    test_set(s.dataset);
-    if (!file_exists(artifact_path(s))) missing.push_back(&s);
+    const api::ModelEntry& s = spec(n);
+    if (!file_exists(checkpoint_path(s))) missing.push_back(&s);
   }
-  if (missing.empty()) return;
   parallel_for(static_cast<std::int64_t>(missing.size()), 2,
-               [&](std::int64_t i) { train_to_disk(*missing[i]); });
+               [&](std::int64_t i) { (void)load_or_train(*missing[i]); });
 }
 
 }  // namespace ber::zoo

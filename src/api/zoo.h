@@ -1,56 +1,60 @@
-// The model zoo: named (dataset, architecture, training method) specs.
+// The model zoo: the paper's training recipes as named api::ModelEntrys,
+// and the one trained-model cache every named recipe shares.
 //
-// Every paper table/figure needs trained models; the zoo maps a stable name
-// to a spec, trains the model the first time it is requested and caches the
-// checkpoint under the artifacts directory, so the full bench suite trains
-// each configuration exactly once across all binaries and runs. It lives in
-// the library (not bench/) because the declarative experiment API
-// (src/api/spec.h) resolves {"zoo": "<name>"} model entries through it.
+// A zoo recipe is an ordinary ModelEntry whose `name` is the zoo key and
+// whose `label` is the paper-style table row label. load_or_train() is the
+// single place a recipe becomes weights: it loads the recipe's checkpoint
+// (serve/checkpoint.h) when one exists and trains otherwise. The cache key
+// is the name plus a fingerprint of the whole recipe, so editing any part
+// of it (or BER_FAST changing the epochs) retrains instead of loading a
+// stale artifact. The Runner resolves {"zoo": "<name>"} and inline model
+// entries through the same call.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "api/spec.h"
 #include "data/dataset.h"
-#include "models/factory.h"
 #include "nn/sequential.h"
-#include "quant/quantizer.h"
-#include "train/trainer.h"
 
 namespace ber::zoo {
 
-struct Spec {
-  std::string name;     // zoo key and artifact file stem
-  std::string dataset;  // "c10" | "mnist" | "c100"
-  ModelConfig model;
-  TrainConfig train_cfg;
-  std::string label;    // paper-style row label, e.g. "Clipping_0.1"
-};
+// All registered recipes (the full experiment grid).
+const std::vector<api::ModelEntry>& all_specs();
+const api::ModelEntry& spec(const std::string& name);
 
-// All registered specs (the full experiment grid).
-const std::vector<Spec>& all_specs();
-const Spec& spec(const std::string& name);
+// artifacts_dir()/<name>_<fp>.ckpt, fp = 16-hex FNV-1a of the entry's JSON
+// with the display-only label cleared (relabeling keeps the cache).
+std::string checkpoint_path(const api::ModelEntry& entry);
 
-// Returns the trained model for `name` (training + caching on first use).
-// The reference stays valid for the process lifetime. NOT thread-safe with
-// concurrent get() of the same name — use ensure() to prefetch in parallel.
+// The trained model for a recipe: loads checkpoint_path(entry) when it
+// exists and stores entry.quant; otherwise (missing, corrupt or stale file)
+// trains on the reference backend with the entry's quant as the training
+// scheme. Only named entries write a checkpoint.
+std::unique_ptr<Sequential> load_or_train(const api::ModelEntry& entry);
+
+// A dataset section's split, materialized once in data::dataset_store():
+// "train", "test", or "rerr" — the test split's head (500 examples; 200 in
+// fast mode), the reduced subset RErr is averaged over.
+const Dataset& dataset(const api::DatasetSection& section,
+                       const std::string& split);
+
+// load_or_train(spec(name)), memoized: the reference stays valid for the
+// process lifetime. NOT thread-safe with concurrent get() of the same name
+// — use ensure() to prefetch in parallel.
 Sequential& get(const std::string& name);
 
 // Trains any missing models among `names`, two at a time.
 void ensure(const std::vector<std::string>& names);
 
-// Shared datasets (built once).
+// dataset() of a synthetic preset tag ("c10" | "mnist" | "c100").
 const Dataset& train_set(const std::string& tag);
 const Dataset& test_set(const std::string& tag);
-// Reduced test subset used for RErr sampling (500 examples; 200 in fast
-// mode) — RErr is averaged over chips, so the subset keeps benches fast.
 const Dataset& rerr_set(const std::string& tag);
 
 // Number of random-bit-error chips per RErr estimate (5; 2 in fast mode).
 int default_chips();
-
-// Quantization scheme the model was trained with (and should be deployed
-// with) — convenience accessor for spec(name).train_cfg.quant.
-const QuantScheme& scheme_of(const std::string& name);
 
 }  // namespace ber::zoo

@@ -8,9 +8,8 @@ namespace ber {
 namespace fs = std::filesystem;
 
 std::string artifacts_dir() {
-  if (const char* env = std::getenv("BER_ARTIFACTS")) return env;
-  if (fs::exists("/root/repo/artifacts")) return "/root/repo/artifacts";
-  return "artifacts";
+  const char* env = std::getenv("BER_ARTIFACTS");
+  return env != nullptr ? env : "artifacts";
 }
 
 bool fast_mode() {

@@ -6,9 +6,9 @@
 
 namespace ber {
 
-// Directory for trained-model artifacts (the bench zoo cache). Controlled by
-// BER_ARTIFACTS; defaults to "artifacts" relative to the current directory,
-// falling back to /root/repo/artifacts if that exists.
+// Directory for trained-model checkpoints (the zoo's recipe cache, see
+// api/zoo.h): BER_ARTIFACTS if set, else "artifacts" relative to the
+// current directory.
 std::string artifacts_dir();
 
 // True when BER_FAST=1: benches and the zoo shrink epochs / chips / test

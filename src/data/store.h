@@ -1,10 +1,8 @@
 // Process-wide keyed dataset store: the ONE cache of materialized Datasets.
 //
-// Both consumers that used to keep private caches — zoo::dataset_cache()
-// and api::Runner::datasets_ — route through this store with canonical keys
-// (data/source.h dataset_key()), so a zoo model and an inline spec model
-// that name the same data share one materialization instead of building it
-// twice.
+// zoo::dataset() (api/zoo.h) keys it with canonical keys (data/source.h
+// dataset_key()), so every recipe that names the same data shares one
+// materialization.
 //
 // get() is build-through: the builder runs under the store lock (one
 // builder per key, ever), and the returned reference is stable for the

@@ -13,9 +13,6 @@ namespace ber {
 
 namespace {
 
-constexpr std::uint32_t kModelMagic = 0x4245524Du;  // "BERM"
-constexpr std::uint32_t kModelVersion = 1;
-
 // Exception-safe arena-tensor toggle for the inference region.
 struct ArenaTensorRegion {
   ArenaTensorRegion() { set_arena_tensors_enabled(true); }
@@ -173,56 +170,36 @@ void Sequential::write_weights(BinaryWriter& w) {
   }
 }
 
-void Sequential::save(const std::string& path) {
-  BinaryWriter w(path);
-  w.write_pod(kModelMagic);
-  w.write_pod(kModelVersion);
-  write_weights(w);
-  if (!w.good()) throw std::runtime_error("Sequential::save failed: " + path);
-}
-
 void Sequential::read_weights(BinaryReader& r) {
   const std::string sig = r.read_string();
   if (sig != signature()) {
-    throw std::runtime_error("Sequential::load: architecture mismatch:\n  file:  " +
-                             sig + "\n  model: " + signature());
+    throw std::runtime_error("Sequential::read_weights: architecture "
+                             "mismatch:\n  file:  " + sig + "\n  model: " +
+                             signature());
   }
-  read_params_and_buffers(r);
-}
-
-void Sequential::load(const std::string& path) {
-  BinaryReader r(path);
-  if (r.read_pod<std::uint32_t>() != kModelMagic) {
-    throw std::runtime_error("Sequential::load: bad magic in " + path);
-  }
-  if (r.read_pod<std::uint32_t>() != kModelVersion) {
-    throw std::runtime_error("Sequential::load: version mismatch in " + path);
-  }
-  read_weights(r);
-}
-
-void Sequential::read_params_and_buffers(BinaryReader& r) {
   const auto ps = params();
   if (r.read_pod<std::uint64_t>() != ps.size()) {
-    throw std::runtime_error("Sequential::load: param count mismatch");
+    throw std::runtime_error("Sequential::read_weights: param count mismatch");
   }
   for (Param* p : ps) {
     r.read_string();  // name (informational)
     const auto shape = r.read_vector<long>();
     const auto data = r.read_vector<float>();
     if (static_cast<long>(data.size()) != p->value.numel()) {
-      throw std::runtime_error("Sequential::load: size mismatch for " + p->name);
+      throw std::runtime_error("Sequential::read_weights: size mismatch for " +
+                               p->name);
     }
     std::copy(data.begin(), data.end(), p->value.data());
   }
   const auto bs = buffers();
   if (r.read_pod<std::uint64_t>() != bs.size()) {
-    throw std::runtime_error("Sequential::load: buffer count mismatch");
+    throw std::runtime_error("Sequential::read_weights: buffer count mismatch");
   }
   for (Tensor* b : bs) {
     const auto data = r.read_vector<float>();
     if (static_cast<long>(data.size()) != b->numel()) {
-      throw std::runtime_error("Sequential::load: buffer size mismatch");
+      throw std::runtime_error(
+          "Sequential::read_weights: buffer size mismatch");
     }
     std::copy(data.begin(), data.end(), b->data());
   }

@@ -1,4 +1,4 @@
-// Sequential container + residual block, with checkpoint serialization.
+// Sequential container + residual block, with weight serialization.
 #pragma once
 
 #include <functional>
@@ -77,19 +77,13 @@ class Sequential : public Layer {
   // Architecture signature used to validate checkpoints.
   std::string signature();
 
-  // Checkpoint I/O. Load requires an identically-built architecture.
-  void save(const std::string& path);
-  void load(const std::string& path);
-
-  // Stream variants of save/load: the signature + params + buffers payload
-  // without the file-level magic/version header, so larger artifacts (e.g.
-  // serve/checkpoint.h's weights-plus-scheme bundles) can embed a model.
+  // The signature + params + buffers payload of a checkpoint
+  // (serve/checkpoint.h, the one model file format). read_weights requires
+  // an identically-built architecture and throws on any mismatch.
   void write_weights(BinaryWriter& w);
   void read_weights(BinaryReader& r);
 
  private:
-  void read_params_and_buffers(BinaryReader& r);
-
   // The layer loop. In inference mode, a layer with active weight codes
   // (nn/code_compute.h) runs forward_on_codes; when the next layer is a
   // ReLU, the activation is folded into the kernel epilogue and the ReLU

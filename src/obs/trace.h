@@ -5,8 +5,7 @@
 // Design constraints, in order:
 //   1. The disabled path must be free. BER_TRACE_SCOPE compiles to a stack
 //      object whose constructor is one relaxed atomic load + branch when
-//      tracing is off; defining BER_OBS_NO_TRACING compiles every macro to
-//      nothing (no object, no load).
+//      tracing is off.
 //   2. Recording must not serialize worker threads: events append to
 //      per-thread buffers (own mutex each, uncontended in steady state);
 //      the global lock is only taken when a thread first appears and when
@@ -117,11 +116,6 @@ void trace_instant(const char* cat, const char* name,
 
 }  // namespace ber::obs
 
-#if defined(BER_OBS_NO_TRACING)
-#define BER_TRACE_SCOPE(cat, name) ((void)0)
-#define BER_TRACE_SCOPE_ARGS(cat, name, ...) ((void)0)
-#define BER_TRACE_INSTANT(cat, name, ...) ((void)0)
-#else
 #define BER_TRACE_CONCAT2(a, b) a##b
 #define BER_TRACE_CONCAT(a, b) BER_TRACE_CONCAT2(a, b)
 #define BER_TRACE_SCOPE(cat, name) \
@@ -135,4 +129,3 @@ void trace_instant(const char* cat, const char* name,
       ::ber::obs::trace_instant(cat, name, {__VA_ARGS__});             \
     }                                                                  \
   } while (0)
-#endif

@@ -1,5 +1,6 @@
-// Deployment checkpoints: trained weights + the quantization scheme they
-// were trained for, in one artifact.
+// Checkpoints: trained weights + the quantization scheme they were trained
+// for, in one artifact — the only on-disk model format (the zoo's recipe
+// cache, api/zoo.h, stores every trained model this way).
 //
 // A served model is only meaningful together with its QuantScheme — the
 // fault models perturb quantized codes, so deploying under a different

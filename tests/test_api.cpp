@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -357,6 +359,77 @@ api::ModelEntry tiny_entry() {
   e.train.epochs = 2;
   e.train.batch_size = 50;
   return e;
+}
+
+// Every named recipe, zoo or inline, shares one checkpoint cache keyed by
+// name + recipe fingerprint.
+TEST(Zoo, LoadOrTrainCachesByRecipe) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "ber_zoo_cache_probe";
+  fs::remove_all(dir);
+  ASSERT_EQ(setenv("BER_ARTIFACTS", dir.string().c_str(), 1), 0);
+  const obs::Counter& batches =
+      obs::registry().counter("data.batches_produced");
+  const auto same_params = [](Sequential& a, Sequential& b) {
+    const auto pa = a.params();
+    const auto pb = b.params();
+    if (pa.size() != pb.size()) return false;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      const Tensor& x = pa[i]->value;
+      const Tensor& y = pb[i]->value;
+      if (x.numel() != y.numel() ||
+          std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  api::ModelEntry entry = tiny_entry();
+  entry.name = "cache_probe";
+  const std::string path = zoo::checkpoint_path(entry);
+  EXPECT_EQ(fs::path(path).parent_path(), dir);
+  EXPECT_EQ(fs::path(path).filename().string().rfind("cache_probe_", 0), 0u);
+
+  // First call trains and writes the checkpoint.
+  std::uint64_t count = batches.value();
+  const std::unique_ptr<Sequential> trained = zoo::load_or_train(entry);
+  EXPECT_GT(batches.value(), count);
+  EXPECT_TRUE(file_exists(path));
+
+  // Second call loads it: no training, bit-identical parameters.
+  count = batches.value();
+  const std::unique_ptr<Sequential> loaded = zoo::load_or_train(entry);
+  EXPECT_EQ(batches.value(), count);
+  EXPECT_TRUE(same_params(*trained, *loaded));
+
+  // The key covers the recipe, not the display label.
+  api::ModelEntry relabeled = entry;
+  relabeled.label = "another row label";
+  EXPECT_EQ(zoo::checkpoint_path(relabeled), path);
+  api::ModelEntry longer = entry;
+  longer.train.epochs += 1;
+  EXPECT_NE(zoo::checkpoint_path(longer), path);
+
+  // A truncated checkpoint retrains (to the same weights) instead of
+  // throwing.
+  fs::resize_file(path, fs::file_size(path) / 2);
+  count = batches.value();
+  std::unique_ptr<Sequential> retrained;
+  EXPECT_NO_THROW(retrained = zoo::load_or_train(entry));
+  EXPECT_GT(batches.value(), count);
+  ASSERT_NE(retrained, nullptr);
+  EXPECT_TRUE(same_params(*trained, *retrained));
+
+  // An unnamed entry trains but writes no file.
+  fs::remove_all(dir);
+  api::ModelEntry unnamed = entry;
+  unnamed.name.clear();
+  count = batches.value();
+  (void)zoo::load_or_train(unnamed);
+  EXPECT_GT(batches.value(), count);
+  EXPECT_FALSE(fs::exists(dir));
+  EXPECT_EQ(unsetenv("BER_ARTIFACTS"), 0);
 }
 
 // The legacy hand-wired pipeline for the same recipe. Training pins the

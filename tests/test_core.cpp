@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -289,7 +290,19 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(TablePrinter::fmt_pm(5.5, 0.25, 2), "5.50 ±0.25");
 }
 
-TEST(Env, ArtifactsDirNonEmpty) { EXPECT_FALSE(artifacts_dir().empty()); }
+TEST(Env, ArtifactsDirNonEmpty) {
+  const char* saved = std::getenv("BER_ARTIFACTS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(unsetenv("BER_ARTIFACTS"), 0);
+  EXPECT_EQ(artifacts_dir(), "artifacts");  // relative to the working dir
+  ASSERT_EQ(setenv("BER_ARTIFACTS", "cache/ber_env_probe", 1), 0);
+  EXPECT_EQ(artifacts_dir(), "cache/ber_env_probe");
+  if (saved != nullptr) {
+    setenv("BER_ARTIFACTS", restore.c_str(), 1);
+  } else {
+    unsetenv("BER_ARTIFACTS");
+  }
+}
 
 TEST(Env, EnsureDirAndFileExists) {
   const std::string dir = testing::TempDir() + "/ber_env_test/sub";

@@ -11,6 +11,7 @@
 #include "faults/profiled_chip_model.h"
 #include "faults/random_bit_error_model.h"
 #include "models/factory.h"
+#include "serve/checkpoint.h"
 #include "train/trainer.h"
 
 namespace ber {
@@ -134,10 +135,10 @@ TEST(Integration, ClippingImprovesHighRateRobustness) {
 TEST(Integration, SaveLoadPreservesRobustnessExactly) {
   const std::string path = testing::TempDir() + "/ber_integration_model.bin";
   Sequential& model = rquant_model();
-  model.save(path);
-  auto fresh = build_model(mini().model_cfg);
-  fresh->load(path);
   const QuantScheme scheme = QuantScheme::rquant(8);
+  save_checkpoint(path, model, scheme);
+  auto fresh = build_model(mini().model_cfg);
+  EXPECT_EQ(load_checkpoint(path, *fresh), scheme);
   const RobustResult a = random_rerr(model, scheme, 0.01, 3);
   const RobustResult b = random_rerr(*fresh, scheme, 0.01, 3);
   EXPECT_EQ(a.per_chip, b.per_chip);

