@@ -86,8 +86,9 @@ class ChipFaultList {
   // cells with u < p_max. The layout only provides tensor sizes / offsets /
   // bit widths; codes are not read. `threads` > 1 opts into a shard-parallel
   // sweep — there is no gain from it when the caller is already parallel
-  // (the RobustnessEvaluator builds one list per worker, and a nested
-  // parallel_for runs its shards inline, see core/parallel.h).
+  // (the RobustnessEvaluator builds one list per chip, all chips in one
+  // parallel_for before its cells start, and a nested parallel_for runs
+  // its shards inline, see core/parallel.h).
   ChipFaultList(const NetSnapshot& layout, const BitErrorConfig& config,
                 std::uint64_t chip_seed, double p_max, int threads = 1);
 

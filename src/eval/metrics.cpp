@@ -2,13 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "quant/net_quantizer.h"
 #include "tensor/ops.h"
 
 namespace ber {
 
+namespace {
+
+// A non-positive batch would never advance the batch loop, and an empty set
+// has no error rate (0/0).
+void require_eval_args(const Dataset& data, long batch, const char* who) {
+  if (batch < 1) {
+    throw std::invalid_argument(std::string(who) + ": batch must be >= 1");
+  }
+  if (data.size() == 0) {
+    throw std::invalid_argument(std::string(who) + ": empty dataset");
+  }
+}
+
+}  // namespace
+
 EvalResult evaluate(Sequential& model, const Dataset& data, long batch) {
+  require_eval_args(data, batch, "evaluate");
   const long n = data.size();
   long wrong = 0;
   double conf_sum = 0.0;
@@ -33,6 +51,8 @@ EvalResult evaluate(Sequential& model, const Dataset& data, long batch) {
 
 float test_error(Sequential& model, const Dataset& data,
                  const QuantScheme* scheme, long batch) {
+  // Checked before the weights are swapped, so a rejected call leaves them.
+  require_eval_args(data, batch, "test_error");
   if (scheme == nullptr) return evaluate(model, data, batch).error;
   const auto params = model.params();
   WeightStash stash;
@@ -46,6 +66,7 @@ float test_error(Sequential& model, const Dataset& data,
 }
 
 LogitStats logit_stats(Sequential& model, const Dataset& data, long batch) {
+  require_eval_args(data, batch, "logit_stats");
   const long n = data.size();
   double max_sum = 0.0, gap_sum = 0.0, conf_sum = 0.0;
   Tensor images;

@@ -15,7 +15,8 @@ struct EvalResult {
   float confidence = 0.0f;  // mean max softmax probability
 };
 
-// Forward-only evaluation (eval mode).
+// Forward-only evaluation (eval mode). Throws std::invalid_argument for
+// batch < 1 or an empty dataset.
 EvalResult evaluate(Sequential& model, const Dataset& data, long batch = 200);
 
 // Clean test error; if `scheme` is non-null the parameters are
@@ -29,7 +30,8 @@ struct LogitStats {
   float mean_confidence = 0.0f;
 };
 
-// Logit/confidence statistics on a dataset (Fig. 6).
+// Logit/confidence statistics on a dataset (Fig. 6). Same argument checks
+// as evaluate().
 LogitStats logit_stats(Sequential& model, const Dataset& data,
                        long batch = 200);
 

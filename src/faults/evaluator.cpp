@@ -1,6 +1,7 @@
 #include "faults/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -36,23 +37,34 @@ RobustResult summarize(std::vector<float> errs,
   return r;
 }
 
-// Runs fn(clone, trial) for trials [0, n) on a pool of workers, each owning
-// one model clone for all of its trials. The caller's compute backend
-// (thread-scoped overrides included) is captured here and re-installed on
-// every worker thread.
-template <typename PerTrial>
-void run_trials(Sequential& model, int n_trials, const PerTrial& fn) {
+// Runs fn(clone, cell) for cells [0, n_cells) on a pool of workers that
+// claim cells one at a time until none are left, so no worker idles while
+// another still has a backlog. A worker clones the model at its first claim
+// and reuses that clone for every later cell (each cell overwrites all of
+// its weights). Which worker runs a cell varies from call to call, so fn
+// must write its results to slots fixed by the cell index. The caller's
+// compute backend (thread-scoped overrides included) is captured here and
+// re-installed on every worker thread. A throwing cell stops further claims;
+// parallel_for rethrows the exception on the caller.
+template <typename PerCell>
+void run_on_pool(Sequential& model, std::int64_t n_cells, const PerCell& fn) {
   const kernels::Backend& backend = kernels::current_backend();
-  const int threads =
-      std::max(1, std::min(default_threads(), std::max(1, n_trials)));
-  const std::int64_t chunk = (n_trials + threads - 1) / threads;
-  parallel_for(threads, threads, [&](std::int64_t t) {
+  const int threads = static_cast<int>(std::max<std::int64_t>(
+      1, std::min<std::int64_t>(default_threads(), n_cells)));
+  std::atomic<std::int64_t> next{0};
+  parallel_for(threads, threads, [&](std::int64_t) {
     const kernels::ScopedBackend backend_guard(backend);
-    const std::int64_t lo = t * chunk;
-    const std::int64_t hi = std::min<std::int64_t>(lo + chunk, n_trials);
-    if (lo >= hi) return;
-    Sequential clone(model);
-    for (std::int64_t trial = lo; trial < hi; ++trial) fn(clone, trial);
+    std::optional<Sequential> clone;
+    for (std::int64_t cell = next.fetch_add(1); cell < n_cells;
+         cell = next.fetch_add(1)) {
+      if (!clone) clone.emplace(model);
+      try {
+        fn(*clone, cell);
+      } catch (...) {
+        next.store(n_cells);
+        throw;
+      }
+    }
   });
 }
 
@@ -70,7 +82,7 @@ void require_space(const FaultModel& fault, bool quantizing) {
 
 // Injection-campaign telemetry. The per-fault-word hot loops inside
 // ChipFaultList stay uninstrumented (bench_injection measures them raw);
-// everything here is per-trial / per-sweep-point granularity.
+// everything here is per-chip or per-cell granularity.
 struct EvalMetrics {
   obs::Counter& trials = obs::registry().counter("faults.trials");
   obs::Counter& fault_lists =
@@ -78,8 +90,6 @@ struct EvalMetrics {
   obs::Counter& words_patched =
       obs::registry().counter("faults.words_patched");
   obs::Histogram& trial_us = obs::registry().histogram("faults.trial_us");
-  obs::Histogram& sweep_point_us =
-      obs::registry().histogram("faults.sweep_point_us");
 };
 
 EvalMetrics& eval_metrics() {
@@ -108,7 +118,7 @@ RobustResult RobustnessEvaluator::run(const FaultModel& fault,
   const std::vector<Param*> pristine = model_.params();
   std::vector<float> errs(static_cast<std::size_t>(n_trials));
   std::vector<float> confs(static_cast<std::size_t>(n_trials));
-  run_trials(model_, n_trials, [&](Sequential& clone, std::int64_t trial) {
+  run_on_pool(model_, n_trials, [&](Sequential& clone, std::int64_t trial) {
     BER_TRACE_SCOPE_ARGS("faults", "trial", {"trial", trial});
     EvalMetrics& em = eval_metrics();
     em.trials.add(1);
@@ -153,46 +163,49 @@ std::vector<RobustResult> RobustnessEvaluator::run_cells(
     errs[r].resize(static_cast<std::size_t>(n_trials));
     confs[r].resize(static_cast<std::size_t>(n_trials));
   }
-  run_trials(model_, n_trials, [&](Sequential& clone, std::int64_t trial) {
-    BER_TRACE_SCOPE_ARGS("faults", "chip_trial", {"trial", trial});
-    EvalMetrics& em = eval_metrics();
-    em.trials.add(1);
-    const obs::ScopedTimerUs timer(em.trial_us);
-    // A sweep builds one fault list per trial at the top of the grid; each
-    // point keeps the subset of faults with u below its rate (persistence).
-    std::optional<ChipFaultList> faults;
-    if (rates != nullptr) {
-      faults.emplace(
-          fault.fault_list(base_snap_, static_cast<std::uint64_t>(trial), p_max));
+  EvalMetrics& em = eval_metrics();
+  em.trials.add(static_cast<std::uint64_t>(n_trials));
+  // A sweep builds every chip's fault list up front, once, at the top of the
+  // grid; each point keeps the subset of faults with u below its rate
+  // (persistence), so the cells of one chip share its list.
+  std::vector<std::optional<ChipFaultList>> lists;
+  if (rates != nullptr) {
+    lists.resize(static_cast<std::size_t>(n_trials));
+    parallel_for(n_trials, [&](std::int64_t trial) {
+      lists[static_cast<std::size_t>(trial)].emplace(fault.fault_list(
+          base_snap_, static_cast<std::uint64_t>(trial), p_max));
       em.fault_lists.add(1);
+    });
+  }
+  // Cell c is (trial c / n_points, point c % n_points). Its trial token is
+  // c itself: grid points of one trial are separate injections with their
+  // own ledger / probe rows, and for run() (one point) c is the trial.
+  const std::int64_t n_cells = static_cast<std::int64_t>(n_points) * n_trials;
+  run_on_pool(model_, n_cells, [&](Sequential& clone, std::int64_t cell) {
+    const std::size_t trial = static_cast<std::size_t>(cell) / n_points;
+    const std::size_t r = static_cast<std::size_t>(cell) % n_points;
+    BER_TRACE_SCOPE_ARGS("faults", "chip_trial", {"trial", trial},
+                         {"point", r});
+    const obs::ScopedTimerUs timer(em.trial_us);
+    BER_TRACE_SCOPE_ARGS("faults", "sweep_point", {"point", r});
+    const std::uint64_t token = static_cast<std::uint64_t>(cell);
+    NetSnapshot snap = base_snap_;
+    {
+      const obs::ForensicsTrialScope fscope(token, forensics_profile_);
+      em.words_patched.add(rates != nullptr
+                               ? lists[trial]->apply(snap, (*rates)[r])
+                               : fault.apply(snap, trial));
     }
-    const std::vector<ParamSlot> slots = param_slots(clone);
-    for (std::size_t r = 0; r < n_points; ++r) {
-      BER_TRACE_SCOPE_ARGS("faults", "sweep_point", {"point", r});
-      const obs::ScopedTimerUs point_timer(em.sweep_point_us);
-      // Point-distinct trial token: grid points of one trial are separate
-      // injections with their own ledger / probe rows. For run() (one
-      // point) it is the trial index itself.
-      const std::uint64_t token =
-          static_cast<std::uint64_t>(trial) * n_points + r;
-      NetSnapshot snap = base_snap_;
-      {
-        const obs::ForensicsTrialScope fscope(token, forensics_profile_);
-        em.words_patched.add(
-            faults ? faults->apply(snap, (*rates)[r])
-                   : fault.apply(snap, static_cast<std::uint64_t>(trial)));
-      }
-      deploy_snapshot(snap, slots, on_codes_);
-      if (forensics_ != nullptr && forensics_->probes_ready()) {
-        forensics_->probe_trial(clone, token, forensics_profile_);
-      }
-      const EvalResult res = evaluate(clone, data, batch);
-      if (forensics_ != nullptr) {
-        forensics_->record_trial_error(token, forensics_profile_, res.error);
-      }
-      errs[r][static_cast<std::size_t>(trial)] = res.error;
-      confs[r][static_cast<std::size_t>(trial)] = res.confidence;
+    deploy_snapshot(snap, param_slots(clone), on_codes_);
+    if (forensics_ != nullptr && forensics_->probes_ready()) {
+      forensics_->probe_trial(clone, token, forensics_profile_);
     }
+    const EvalResult res = evaluate(clone, data, batch);
+    if (forensics_ != nullptr) {
+      forensics_->record_trial_error(token, forensics_profile_, res.error);
+    }
+    errs[r][trial] = res.error;
+    confs[r][trial] = res.confidence;
   });
   std::vector<RobustResult> out;
   out.reserve(n_points);

@@ -4,21 +4,24 @@
 // Each mode takes one fault space. A quantizing evaluator snapshots
 // (quantizes) the model's parameters ONCE and runs kQuantizedCodes models;
 // a float-space evaluator runs kFloatWeights models on the float weights.
-// n trials run chip-parallel: worker threads each own one model clone (a
-// clone pool — every trial overwrites all of the clone's weights, so a
-// clone is reusable across that worker's trials) and stream per-trial
-// error/confidence into mean/std aggregation. Trials are indexed 0..n-1 and
-// deterministic per (model config, trial), so results are reproducible and
-// independent of thread count. run() and run_rate_sweep() share one
-// code-space trial loop; run() is a one-point grid.
+// The unit of work is one (trial, rate-point) cell: n trials x k points
+// form a grid whose cells pool workers claim one at a time until none are
+// left, so no core idles when the cell count does not divide by the thread
+// count. Each worker clones the model once, at its first claim, and reuses
+// the clone for every later cell (each cell overwrites all of its weights).
+// Trials are indexed 0..n-1 and every cell is deterministic per (model
+// config, trial, point) and writes its error/confidence to a fixed
+// [point][trial] slot, so results are reproducible and independent of
+// thread count and claim order. run() and run_rate_sweep() share one
+// code-space cell loop; run() is a one-point grid.
 //
 // run_rate_sweep() is the multi-rate fast path for persistent fault models
 // (FaultModel::persistent — uniform random errors and profiled chips): the
 // persistence property (faults at p' <= p are a subset of those at p) lets
-// one ChipFaultList per trial, built at the top of the rate grid, serve
-// every rate — each rate's results are bit-identical to a standalone run()
-// at that rate, at a fraction of the hashing cost. Voltage grids map through
-// the model's rate_at_voltage() first.
+// one ChipFaultList per trial, built at the top of the rate grid before any
+// cell starts, serve every rate — each rate's results are bit-identical to
+// a standalone run() at that rate, at a fraction of the hashing cost.
+// Voltage grids map through the model's rate_at_voltage() first.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +113,10 @@ class RobustnessEvaluator {
                                            long batch = 200) const;
 
  private:
-  // The code-space trial loop. rates == nullptr: one point per trial,
+  // The code-space cell loop. rates == nullptr: one point per trial,
   // injected with fault.apply(snap, trial). Otherwise one fault list per
-  // trial at max(*rates), applied at each rate. Returns one result per point.
+  // trial at max(*rates), all built before the cells run, applied at each
+  // rate. Returns one result per point.
   std::vector<RobustResult> run_cells(const FaultModel& fault,
                                       const std::vector<double>* rates,
                                       const Dataset& data, int n_trials,

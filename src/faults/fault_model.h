@@ -27,7 +27,8 @@
 // chips alike; only rate_at_voltage() — the voltage -> rate curve — differs.
 //
 // Models must be safe to call concurrently for distinct trials (the
-// evaluator runs trials chip-parallel on one shared const model).
+// evaluator builds fault lists and runs (trial, rate-point) cells in
+// parallel on one shared const model).
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -266,8 +267,8 @@ TEST(RobustnessEvaluator, VoltageSweepMatchesIndividualRuns) {
   obs::Histogram& trial_us = obs::registry().histogram("faults.trial_us");
   const std::uint64_t timed0 = trial_us.snapshot().count;
   const auto sweep = evaluator.run_rate_sweep(fault, rates, f.data, 4);
-  // Every chip trial of the sweep is timed, as on the run() path.
-  EXPECT_EQ(trial_us.snapshot().count - timed0, 4u);
+  // Every (chip, voltage) cell of the sweep is timed: 4 chips x 3 voltages.
+  EXPECT_EQ(trial_us.snapshot().count - timed0, 12u);
   ASSERT_EQ(sweep.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const RobustResult single =
@@ -485,6 +486,77 @@ TEST(RobustnessEvaluator, RateSweepMatchesIndividualRuns) {
         evaluator.run(RandomBitErrorModel(at_p, 1000), f.data, 4);
     EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "p=" << grid[i];
   }
+}
+
+TEST(RobustnessEvaluator, CellGridBitIdenticalAcrossThreadCounts) {
+  // The benchmark's shape, 5 chips x 5 rates on codes: cell counts that no
+  // thread count from 2 to 4 divides, so workers claim uneven cell shares.
+  Fixture f;
+  const std::vector<double> grid{0.001, 0.003, 0.005, 0.01, 0.02};
+  BitErrorConfig cfg;
+  cfg.p = 0.02;
+  const RandomBitErrorModel fault(cfg, /*seed_base=*/4242);
+  RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
+  evaluator.set_compute_on_codes(true);
+  obs::Counter& built = obs::registry().counter("faults.fault_lists_built");
+  obs::Histogram& timed = obs::registry().histogram("faults.trial_us");
+
+  // default_threads() reads BER_THREADS on every call, so each sweep
+  // claims its cells with a different number of workers.
+  const auto sweep_with_threads = [&](const char* threads) {
+    setenv("BER_THREADS", threads, 1);
+    const std::uint64_t built0 = built.value();
+    const std::uint64_t timed0 = timed.snapshot().count;
+    auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 5, 40);
+    unsetenv("BER_THREADS");
+    EXPECT_EQ(built.value() - built0, 5u) << "one list per chip";
+    EXPECT_EQ(timed.snapshot().count - timed0, 25u) << "one sample per cell";
+    return sweep;
+  };
+
+  const auto one = sweep_with_threads("1");
+  ASSERT_EQ(one.size(), grid.size());
+  for (const char* threads : {"2", "3", "4"}) {
+    const auto many = sweep_with_threads(threads);
+    ASSERT_EQ(many.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(many[i].per_chip, one[i].per_chip)
+          << "threads=" << threads << " p=" << grid[i];
+    }
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    BitErrorConfig at_p = cfg;
+    at_p.p = grid[i];
+    const RobustResult single =
+        evaluator.run(RandomBitErrorModel(at_p, 4242), f.data, 5, 40);
+    EXPECT_EQ(one[i].per_chip, single.per_chip) << "p=" << grid[i];
+  }
+}
+
+TEST(RobustnessEvaluator, RejectsNonPositiveBatchAndEmptyData) {
+  // A non-positive batch would never advance the evaluation loop and an
+  // empty set has no error rate; both throw from inside a cell and reach
+  // the caller.
+  Fixture f;
+  const RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
+  BitErrorConfig cfg;
+  cfg.p = 0.02;
+  const RandomBitErrorModel random(cfg);
+  const Dataset empty;
+  for (long batch : {0L, -3L}) {
+    EXPECT_THROW(evaluator.run(random, f.data, 3, batch), std::invalid_argument);
+    EXPECT_THROW(evaluator.run_rate_sweep(random, {0.01, 0.02}, f.data, 3, batch),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(evaluator.run(random, empty, 3), std::invalid_argument);
+  EXPECT_THROW(evaluator.run_rate_sweep(random, {0.01, 0.02}, empty, 3),
+               std::invalid_argument);
+
+  const RobustResult after = evaluator.run(random, f.data, 4);
+  const RobustResult fresh =
+      RobustnessEvaluator(*f.model, QuantScheme::rquant(8)).run(random, f.data,
+                                                                4);
+  EXPECT_EQ(after.per_chip, fresh.per_chip);
 }
 
 TEST(RobustnessEvaluator, RateSweepRejectsNonPersistentModels) {

@@ -215,8 +215,11 @@ TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
   obs::Counter& counter = obs::registry().counter("faults.words_patched");
 
   // default_threads() reads BER_THREADS on every call, so the worker count
-  // of the trial pool is swappable per campaign.
-  const auto run_with_threads = [&](const char* threads) {
+  // that claims the cells is swappable per campaign. `cells` is the number
+  // of probed trial tokens the campaign produces.
+  using Campaign = std::function<void(const RobustnessEvaluator&)>;
+  const auto run_with_threads = [&](const char* threads, const Campaign& run,
+                                    int cells) {
     setenv("BER_THREADS", threads, 1);
     RobustnessEvaluator ev(*f.model, scheme);
     obs::fault_ledger().clear();
@@ -229,19 +232,28 @@ TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
     EXPECT_TRUE(collector.probes_ready());
     ev.set_forensics(&collector, "eval");
     const std::uint64_t before = counter.value();
-    ev.run(random, f.data, 6, 30);
+    run(ev);
     obs::fault_ledger().set_enabled(false);
     const Json j = collector.to_json(counter.value() - before);
     EXPECT_TRUE(j.at("counter_reconciles").as_bool());
     EXPECT_EQ(j.at("profiles").at("eval").at("probes").at("trials").as_int(),
-              6);
+              cells);
     unsetenv("BER_THREADS");
     return j.dump(2);
   };
 
-  const std::string one = run_with_threads("1");
-  const std::string four = run_with_threads("4");
-  EXPECT_EQ(one, four);
+  const Campaign run = [&](const RobustnessEvaluator& ev) {
+    ev.run(random, f.data, 6, 30);
+  };
+  EXPECT_EQ(run_with_threads("1", run, 6), run_with_threads("4", run, 6));
+
+  // A 3-point sweep: 18 cells that 4 workers claim in no fixed order.
+  const Campaign sweep = [&](const RobustnessEvaluator& ev) {
+    ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 6, 30);
+  };
+  const std::string sweep_one = run_with_threads("1", sweep, 18);
+  EXPECT_EQ(sweep_one, run_with_threads("3", sweep, 18));
+  EXPECT_EQ(sweep_one, run_with_threads("4", sweep, 18));
   obs::fault_ledger().clear();
 }
 

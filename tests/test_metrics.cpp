@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "core/rng.h"
 #include "data/shapes.h"
@@ -148,6 +151,27 @@ TEST(Metrics, LogitStatsConsistentWithEvaluate) {
   const EvalResult ev = evaluate(*f.model, f.data);
   EXPECT_NEAR(ls.mean_confidence, ev.confidence, 1e-5f);
   EXPECT_GE(ls.mean_logit_gap, 0.0f);
+}
+
+TEST(Metrics, BatchLoopsRejectNonPositiveBatchAndEmptyData) {
+  // A non-positive batch would never advance the batch loop; an empty set
+  // would report 0/0.
+  Fixture f(20);
+  const Dataset empty;
+  const QuantScheme scheme = QuantScheme::rquant(8);
+  const std::span<const float> w = f.model->params()[0]->value.span();
+  const std::vector<float> before(w.begin(), w.end());
+  for (long batch : {0L, -1L}) {
+    EXPECT_THROW(evaluate(*f.model, f.data, batch), std::invalid_argument);
+    EXPECT_THROW(test_error(*f.model, f.data, &scheme, batch),
+                 std::invalid_argument);
+    EXPECT_THROW(logit_stats(*f.model, f.data, batch), std::invalid_argument);
+  }
+  EXPECT_THROW(evaluate(*f.model, empty), std::invalid_argument);
+  EXPECT_THROW(test_error(*f.model, empty, &scheme), std::invalid_argument);
+  EXPECT_THROW(logit_stats(*f.model, empty), std::invalid_argument);
+  // A rejected test_error leaves the float weights unquantized.
+  EXPECT_EQ(std::vector<float>(w.begin(), w.end()), before);
 }
 
 TEST(Metrics, SummaryStatsMeanStd) {
