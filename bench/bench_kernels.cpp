@@ -24,6 +24,9 @@
 //                   paper-scale width-32 model (acceptance:
 //                   int8_end_to_end_speedup >= 1.5x), and delta-redeploy
 //                   weight-memory traffic vs a full deploy.
+//   * train_step  — one SimpleNet-GN training forward+backward at the
+//                   randbet_train shape (width 16, 32x32, batch 32, blocked)
+//                   at default threads and on one thread, and their ratio.
 //   * trace_disabled_overhead — cost of a BER_TRACE_SCOPE with tracing off,
 //                   as a ratio to a bare loop (smoke bound: < 3x). A
 //                   wall-clock ratio, so it lives here rather than in a test.
@@ -355,6 +358,44 @@ int main() {
       int8_j.set("delta_redeploy", std::move(dj));
     }
     report.set("int8", std::move(int8_j));
+  }
+
+  // ------------------------------------------------------- train step ---
+  // One SimpleNet-GN training forward+backward at the randbet_train shape
+  // (width 16, 32x32, batch 32, blocked backend). At default threads the
+  // GEMMs shard and the conv lowering, GroupNorm, ReLU and MaxPool2d loops
+  // split per image / chunk; under a ParallelWorkerScope every loop and
+  // GEMM runs inline on one thread. Both compute the same bits.
+  {
+    constexpr long kBatch = 32;
+    ModelConfig mc;
+    mc.width = 16;
+    mc.image_size = 32;
+    auto model = build_model(mc);
+    Rng mrng(11);
+    he_init(*model, mrng);
+    const Tensor x = Tensor::randn({kBatch, 3, 32, 32}, rng);
+    std::vector<int> labels(kBatch);
+    for (long i = 0; i < kBatch; ++i) labels[i] = static_cast<int>(i % 10);
+    const kernels::ScopedBackend g(blocked_mt);
+    const auto step = [&] {
+      model->zero_grad();
+      const Tensor logits = model->forward(x, /*training=*/true);
+      model->backward(softmax_cross_entropy(logits, labels).grad_logits);
+    };
+    const double mt_sec = seconds_per_call(step);
+    const double one_sec = seconds_per_call([&] {
+      const ParallelWorkerScope inline_only;
+      step();
+    });
+    Json ts = Json::object();
+    ts.set("batch", kBatch);
+    ts.set("width", mc.width);
+    ts.set("image_size", mc.image_size);
+    ts.set("default_threads_ms", mt_sec * 1e3);
+    ts.set("one_thread_ms", one_sec * 1e3);
+    ts.set("speedup", one_sec / mt_sec);
+    report.set("train_step", std::move(ts));
   }
 
   // ---------------------------------------------------- trace overhead ---

@@ -150,6 +150,11 @@ Pool& pool() {
 
 bool in_parallel_worker() { return tls_in_worker; }
 
+int intra_op_threads(double work, double min_work) {
+  if (work < min_work || tls_in_worker) return 1;
+  return default_threads();
+}
+
 ParallelWorkerScope::ParallelWorkerScope() : prev_(tls_in_worker) {
   tls_in_worker = true;
 }

@@ -6,6 +6,19 @@
 // the kernels' scratch arenas stay warm across calls. The calling thread
 // runs chunks too.
 //
+// Who splits what:
+//   * coarse grain — the evaluator's (chip, rate-point) cells and the
+//     serving replicas each run a whole model forward on one thread;
+//   * intra-op — a model step run on a plain caller thread (training, a
+//     caller-side evaluation) splits each kernel: the blocked GEMM over
+//     row/column bands, the float conv lowering per image, GroupNorm and
+//     MaxPool2d per image, ReLU per fixed element chunk.
+// The two never stack: every intra-op split asks intra_op_threads(), the one
+// gate, which answers 1 on a pool worker or inside a ParallelWorkerScope and
+// below the op's work floor. Each element's arithmetic, and its order, is
+// the same whatever the split, so results are bit-identical for any thread
+// count; with one thread the same loop body runs inline.
+//
 // Determinism: the chunk boundaries are a pure function of (n, threads).
 // Which participant runs a chunk varies from call to call, and when
 // `threads` exceeds the pool a participant runs several chunks, but the
@@ -43,6 +56,17 @@ void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 // instead of oversubscribing the machine T^2 when they already run inside a
 // coarse-grained worker.
 bool in_parallel_worker();
+
+// The intra-op gate: how many threads an op touching `work` units should
+// split over. 1 on a pool worker or inside a ParallelWorkerScope (the
+// coarse-grained level already owns the cores), or when work < min_work
+// (dispatch would cost more than it saves); default_threads() otherwise.
+int intra_op_threads(double work, double min_work);
+
+// The work floor of the per-image / per-chunk loops outside the GEMM
+// (conv lowering, GroupNorm, ReLU, MaxPool2d), in floats touched: batch-1/2
+// serving shapes and small test fixtures stay inline.
+inline constexpr double kIntraOpMinFloats = 65536.0;
 
 // RAII marker for worker threads created outside parallel_for (serving
 // replicas, custom pools): their parallel_for calls run inline.

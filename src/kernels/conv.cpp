@@ -1,7 +1,10 @@
 #include "kernels/conv.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
+#include "core/parallel.h"
 #include "kernels/arena.h"
 #include "obs/kernel_stats.h"
 #include "tensor/ops.h"
@@ -69,7 +72,9 @@ void forward_per_image(const Backend& bk, const ConvShape& s, const float* x,
 
 // One im2col + one GEMM across the whole batch. The GEMM result comes out
 // [out_c, N*spatial] (channel-major); the writeback transposes it into the
-// [N, out_c, spatial] output layout and folds the bias in.
+// [N, out_c, spatial] output layout and folds the bias in. The lowering and
+// the writeback run per image on the pool (each image owns disjoint column
+// and output ranges); the GEMM shards itself.
 void forward_coalesced(const Backend& bk, const ConvShape& s, const float* x,
                        const float* weight, const float* bias, float* y,
                        Tensor* cache) {
@@ -81,20 +86,22 @@ void forward_coalesced(const Backend& bk, const ConvShape& s, const float* x,
   ArenaScope scope(arena);
   float* cols =
       cache ? cache->data() : arena.alloc(static_cast<std::size_t>(k * ld));
-  for (long i = 0; i < s.n; ++i) {
+  const int col_threads = intra_op_threads(k * ld, kIntraOpMinFloats);
+  parallel_for(s.n, col_threads, [&](std::int64_t i) {
     im2col_ld(x + i * s.in_c * s.h * s.w, s.in_c, s.h, s.w, s.kernel,
               s.kernel, s.stride, s.pad, cols + i * spatial, ld);
-  }
+  });
   float* tmp = arena.alloc(static_cast<std::size_t>(s.out_c * ld));
   bk.gemm(s.out_c, ld, k, 1.0f, weight, cols, 0.0f, tmp);
-  for (long i = 0; i < s.n; ++i) {
+  const int out_threads = intra_op_threads(s.out_c * ld, kIntraOpMinFloats);
+  parallel_for(s.n, out_threads, [&](std::int64_t i) {
     for (long c = 0; c < s.out_c; ++c) {
       const float* src = tmp + c * ld + i * spatial;
       float* dst = y + (i * s.out_c + c) * spatial;
       const float b = bias ? bias[c] : 0.0f;
       for (long p = 0; p < spatial; ++p) dst[p] = src[p] + b;
     }
-  }
+  });
 }
 
 void backward_per_image(const Backend& bk, const ConvShape& s,
@@ -134,32 +141,33 @@ void backward_coalesced(const Backend& bk, const ConvShape& s,
   Arena& arena = tls_arena();
   ArenaScope scope(arena);
   // Gather grad_out [N, out_c, spatial] into channel-major [out_c, N*spatial]
-  // so the whole batch is two GEMMs.
+  // so the whole batch is two GEMMs. One task per channel row, which then
+  // sums the row, in order, into the bias grad.
   float* go_all = arena.alloc(static_cast<std::size_t>(s.out_c * ld));
-  for (long i = 0; i < s.n; ++i) {
-    for (long c = 0; c < s.out_c; ++c) {
+  const int go_threads = intra_op_threads(s.out_c * ld, kIntraOpMinFloats);
+  parallel_for(s.out_c, go_threads, [&](std::int64_t c) {
+    float* row = go_all + c * ld;
+    for (long i = 0; i < s.n; ++i) {
       const float* src = grad_out + (i * s.out_c + c) * spatial;
-      float* dst = go_all + c * ld + i * spatial;
-      for (long p = 0; p < spatial; ++p) dst[p] = src[p];
+      std::copy(src, src + spatial, row + i * spatial);
     }
-  }
-  // dW [out, k] += gO_all [out, N*spatial] x cols^T [N*spatial, k]
-  bk.gemm_bt(s.out_c, k, ld, 1.0f, go_all, cols.data(), 1.0f, grad_weight);
-  if (grad_bias) {
-    for (long c = 0; c < s.out_c; ++c) {
-      const float* row = go_all + c * ld;
+    if (grad_bias) {
       float acc = 0.0f;
       for (long p = 0; p < ld; ++p) acc += row[p];
       grad_bias[c] += acc;
     }
-  }
+  });
+  // dW [out, k] += gO_all [out, N*spatial] x cols^T [N*spatial, k]
+  bk.gemm_bt(s.out_c, k, ld, 1.0f, go_all, cols.data(), 1.0f, grad_weight);
   // dcol [k, N*spatial] = W^T [k, out] x gO_all [out, N*spatial]
   float* grad_col = arena.alloc(static_cast<std::size_t>(k * ld));
   bk.gemm_at(k, ld, s.out_c, 1.0f, weight, go_all, 0.0f, grad_col);
-  for (long i = 0; i < s.n; ++i) {
+  // Image i's columns scatter only into image i's planes of grad_in.
+  const int col_threads = intra_op_threads(k * ld, kIntraOpMinFloats);
+  parallel_for(s.n, col_threads, [&](std::int64_t i) {
     col2im_ld(grad_col + i * spatial, s.in_c, s.h, s.w, s.kernel, s.kernel,
               s.stride, s.pad, grad_in + i * s.in_c * s.h * s.w, ld);
-  }
+  });
 }
 
 // Quantized-weight lowerings mirror the float ones above, with the bias /

@@ -11,7 +11,12 @@
 //                GEMM amortizes A-packing of the weights over N images and
 //                runs at full tile occupancy instead of N skinny calls.
 //                Backward is coalesced the same way (one gemm_bt for dW,
-//                one gemm_at for dcol).
+//                one gemm_at for dcol). The loops around the GEMMs — im2col,
+//                the channel-major -> NCHW writeback and col2im (per image),
+//                the grad_out gather and bias-grad sums (per channel) — run
+//                on the core/parallel pool behind intra_op_threads();
+//                every element is computed as on one thread, so results
+//                are bit-identical for any thread count.
 //
 // The column matrix doubles as the backward cache: in training mode the
 // caller passes a Tensor to retain ([N, C*k*k, OH*OW] per-image,

@@ -1,8 +1,12 @@
 #include "nn/norm.h"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "core/parallel.h"
 
 namespace ber {
 
@@ -30,11 +34,17 @@ Tensor GroupNorm::forward(const Tensor& x, bool training) {
   const long m = cpg * spatial;  // elements per (n, group)
 
   Tensor out(x.shape());
-  Tensor xhat(x.shape());
-  Tensor inv_std({n, groups_});
-  for (long i = 0; i < n; ++i) {
+  // Only backward reads xhat and inv_std, so inference writes neither (and
+  // keeps the caches of the last training forward intact).
+  if (training) {
+    if (xhat_.shape() != x.shape()) xhat_ = Tensor(x.shape());
+    inv_std_ = Tensor({n, groups_});
+  }
+  parallel_for(n, intra_op_threads(x.numel(), kIntraOpMinFloats),
+               [&](std::int64_t i) {
     for (long g = 0; g < groups_; ++g) {
-      const float* src = x.data() + (i * c + g * cpg) * spatial;
+      const long base = (i * c + g * cpg) * spatial;
+      const float* src = x.data() + base;
       double sum = 0.0, sq = 0.0;
       for (long e = 0; e < m; ++e) {
         sum += src[e];
@@ -43,9 +53,9 @@ Tensor GroupNorm::forward(const Tensor& x, bool training) {
       const double mu = sum / m;
       const double var = sq / m - mu * mu;
       const float istd = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      inv_std.at(i, g) = istd;
-      float* xh = xhat.data() + (i * c + g * cpg) * spatial;
-      float* dst = out.data() + (i * c + g * cpg) * spatial;
+      float* xh = training ? xhat_.data() + base : nullptr;
+      if (training) inv_std_.at(i, g) = istd;
+      float* dst = out.data() + base;
       for (long cc = 0; cc < cpg; ++cc) {
         const long ch = g * cpg + cc;
         const float gamma = 1.0f + scale_.value[ch];
@@ -53,30 +63,39 @@ Tensor GroupNorm::forward(const Tensor& x, bool training) {
         for (long s = 0; s < spatial; ++s) {
           const long e = cc * spatial + s;
           const float h = (src[e] - static_cast<float>(mu)) * istd;
-          xh[e] = h;
+          if (xh != nullptr) xh[e] = h;
           dst[e] = gamma * h + beta;
         }
       }
     }
-  }
-  if (training) {
-    xhat_ = std::move(xhat);
-    inv_std_ = std::move(inv_std);
-  }
+  });
   return out;
 }
 
 Tensor GroupNorm::backward(const Tensor& grad_out) {
+  if (xhat_.dim() != 4) {
+    throw std::logic_error("GroupNorm::backward: no cached forward pass");
+  }
+  if (grad_out.shape() != xhat_.shape()) {
+    throw std::invalid_argument("GroupNorm::backward: bad grad " +
+                                grad_out.shape_str());
+  }
   const long n = grad_out.shape(0), c = grad_out.shape(1),
              spatial = grad_out.shape(2) * grad_out.shape(3);
   const long cpg = c / groups_;
   const long m = cpg * spatial;
 
   Tensor grad_in(grad_out.shape());
-  for (long i = 0; i < n; ++i) {
+  // Per-image param-grad partials [n, c], added below in image order: the
+  // same sequence of += per channel as a serial loop over images.
+  std::vector<float> dscale_part(static_cast<std::size_t>(n * c));
+  std::vector<float> dbias_part(static_cast<std::size_t>(n * c));
+  parallel_for(n, intra_op_threads(grad_out.numel(), kIntraOpMinFloats),
+               [&](std::int64_t i) {
     for (long g = 0; g < groups_; ++g) {
-      const float* go = grad_out.data() + (i * c + g * cpg) * spatial;
-      const float* xh = xhat_.data() + (i * c + g * cpg) * spatial;
+      const long base = (i * c + g * cpg) * spatial;
+      const float* go = grad_out.data() + base;
+      const float* xh = xhat_.data() + base;
       const float istd = inv_std_.at(i, g);
       // Accumulate per-channel param grads and per-group sums of
       // dxhat and dxhat*xhat.
@@ -93,10 +112,12 @@ Tensor GroupNorm::backward(const Tensor& grad_out) {
           sum_dxh += dxh;
           sum_dxh_xh += dxh * xh[e];
         }
-        scale_.grad[ch] += static_cast<float>(dscale);
-        bias_.grad[ch] += static_cast<float>(dbias);
+        dscale_part[static_cast<std::size_t>(i * c + ch)] =
+            static_cast<float>(dscale);
+        dbias_part[static_cast<std::size_t>(i * c + ch)] =
+            static_cast<float>(dbias);
       }
-      float* gi = grad_in.data() + (i * c + g * cpg) * spatial;
+      float* gi = grad_in.data() + base;
       const float inv_m = 1.0f / static_cast<float>(m);
       for (long cc = 0; cc < cpg; ++cc) {
         const long ch = g * cpg + cc;
@@ -108,6 +129,12 @@ Tensor GroupNorm::backward(const Tensor& grad_out) {
                           xh[e] * inv_m * static_cast<float>(sum_dxh_xh));
         }
       }
+    }
+  });
+  for (long i = 0; i < n; ++i) {
+    for (long ch = 0; ch < c; ++ch) {
+      scale_.grad[ch] += dscale_part[static_cast<std::size_t>(i * c + ch)];
+      bias_.grad[ch] += dbias_part[static_cast<std::size_t>(i * c + ch)];
     }
   }
   return grad_in;

@@ -1,7 +1,11 @@
 #include "nn/pool.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/parallel.h"
 
 namespace ber {
 
@@ -13,12 +17,18 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   }
   const long oh = h / kernel_, ow = w / kernel_;
   Tensor out({n, c, oh, ow});
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  long oidx = 0;
-  for (long i = 0; i < n; ++i) {
+  // Only backward reads argmax_, so inference leaves the last training
+  // forward's routing intact.
+  if (training) {
+    argmax_.resize(static_cast<std::size_t>(out.numel()));
+    in_shape_ = x.shape();
+  }
+  parallel_for(n, intra_op_threads(x.numel(), kIntraOpMinFloats),
+               [&](std::int64_t i) {
+    long oidx = i * c * oh * ow;
     for (long ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (i * c + ch) * h * w;
       const long plane_base = (i * c + ch) * h * w;
+      const float* plane = x.data() + plane_base;
       for (long y = 0; y < oh; ++y) {
         for (long xcol = 0; xcol < ow; ++xcol, ++oidx) {
           float best = plane[(y * kernel_) * w + xcol * kernel_];
@@ -33,21 +43,35 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
             }
           }
           out[oidx] = best;
-          argmax_[static_cast<std::size_t>(oidx)] = plane_base + best_idx;
+          if (training) {
+            argmax_[static_cast<std::size_t>(oidx)] = plane_base + best_idx;
+          }
         }
       }
     }
-  }
-  if (training) in_shape_ = x.shape();
+  });
   return out;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  Tensor grad_in(in_shape_);
-  const long n = grad_out.numel();
-  for (long i = 0; i < n; ++i) {
-    grad_in[argmax_[static_cast<std::size_t>(i)]] += grad_out[i];
+  if (in_shape_.empty()) {
+    throw std::logic_error("MaxPool2d::backward: no cached forward pass");
   }
+  if (grad_out.numel() != static_cast<long>(argmax_.size()) ||
+      grad_out.dim() != 4 || grad_out.shape(0) != in_shape_[0]) {
+    throw std::invalid_argument("MaxPool2d::backward: bad grad " +
+                                grad_out.shape_str());
+  }
+  Tensor grad_in(in_shape_);
+  const long n = in_shape_[0];
+  const long per_image = grad_out.numel() / std::max(1L, n);
+  // Image i's outputs route only into image i's planes.
+  parallel_for(n, intra_op_threads(grad_in.numel(), kIntraOpMinFloats),
+               [&](std::int64_t i) {
+    for (long o = i * per_image; o < (i + 1) * per_image; ++o) {
+      grad_in[argmax_[static_cast<std::size_t>(o)]] += grad_out[o];
+    }
+  });
   return grad_in;
 }
 
@@ -75,6 +99,13 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+  if (in_shape_.empty()) {
+    throw std::logic_error("GlobalAvgPool::backward: no cached forward pass");
+  }
+  if (grad_out.shape() != std::vector<long>{in_shape_[0], in_shape_[1]}) {
+    throw std::invalid_argument("GlobalAvgPool::backward: bad grad " +
+                                grad_out.shape_str());
+  }
   Tensor grad_in(in_shape_);
   const long n = in_shape_[0], c = in_shape_[1],
              spatial = in_shape_[2] * in_shape_[3];

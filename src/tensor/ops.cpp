@@ -95,10 +95,22 @@ void im2col_ld(const float* img, long channels, long height, long width,
             continue;
           }
           const float* src = plane + iy * width;
+          float* dst = out + y * ow;
+          if (stride == 1) {
+            // ix = x + kj - pad: zero the padding edges, copy the interior.
+            const long lo = std::clamp(pad - kj, 0L, ow);
+            const long hi = std::clamp(width + pad - kj, lo, ow);
+            std::fill(dst, dst + lo, 0.0f);
+            if (hi > lo) {
+              std::memcpy(dst + lo, src + (lo + kj - pad),
+                          sizeof(float) * static_cast<std::size_t>(hi - lo));
+            }
+            std::fill(dst + hi, dst + ow, 0.0f);
+            continue;
+          }
           for (long x = 0; x < ow; ++x) {
             const long ix = x * stride - pad + kj;
-            out[y * ow + x] =
-                (ix >= 0 && ix < width) ? src[ix] : 0.0f;
+            dst[x] = (ix >= 0 && ix < width) ? src[ix] : 0.0f;
           }
         }
       }
@@ -127,6 +139,17 @@ void col2im_ld(const float* col, long channels, long height, long width,
           const long iy = y * stride - pad + ki;
           if (iy < 0 || iy >= height) continue;
           float* dst = plane + iy * width;
+          if (stride == 1) {
+            // The same in-bounds x range as im2col_ld; each pixel still
+            // gets its adds in (c, ki, kj, y) order.
+            const long lo = std::clamp(pad - kj, 0L, ow);
+            const long hi = std::clamp(width + pad - kj, lo, ow);
+            if (hi <= lo) continue;
+            float* __restrict d = dst + (lo + kj - pad);
+            const float* __restrict v = in + y * ow + lo;
+            for (long x = 0; x < hi - lo; ++x) d[x] += v[x];
+            continue;
+          }
           for (long x = 0; x < ow; ++x) {
             const long ix = x * stride - pad + kj;
             if (ix >= 0 && ix < width) dst[ix] += in[y * ow + x];

@@ -13,6 +13,7 @@
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quant/net_quantizer.h"
 
 namespace ber {
@@ -90,22 +91,25 @@ TrainStats train(Sequential& model, const Dataset& train_set,
 
     for (long start = 0; start < n; start += config.batch_size) {
       const long b = std::min<long>(config.batch_size, n - start);
-      // Gather the shuffled batch.
-      const long stride =
-          train_set.channels() * train_set.height() * train_set.width();
-      batch_images = Tensor({b, train_set.channels(), train_set.height(),
-                             train_set.width()});
-      batch_labels.resize(static_cast<std::size_t>(b));
-      for (long i = 0; i < b; ++i) {
-        const long src = order[static_cast<std::size_t>(start + i)];
-        std::copy(train_set.images.data() + src * stride,
-                  train_set.images.data() + (src + 1) * stride,
-                  batch_images.data() + i * stride);
-        batch_labels[static_cast<std::size_t>(i)] =
-            train_set.labels[static_cast<std::size_t>(src)];
+      {
+        BER_TRACE_SCOPE("train", "batch");
+        // Gather the shuffled batch.
+        const long stride =
+            train_set.channels() * train_set.height() * train_set.width();
+        batch_images = Tensor({b, train_set.channels(), train_set.height(),
+                               train_set.width()});
+        batch_labels.resize(static_cast<std::size_t>(b));
+        for (long i = 0; i < b; ++i) {
+          const long src = order[static_cast<std::size_t>(start + i)];
+          std::copy(train_set.images.data() + src * stride,
+                    train_set.images.data() + (src + 1) * stride,
+                    batch_images.data() + i * stride);
+          batch_labels[static_cast<std::size_t>(i)] =
+              train_set.labels[static_cast<std::size_t>(src)];
+        }
+        batches_produced.add(1);
+        augment_batch(batch_images, config.augment, rng);
       }
-      batches_produced.add(1);
-      augment_batch(batch_images, config.augment, rng);
 
       // Projection before quantization (Alg. 1 line 6).
       clip_weights(params, config.wmax);
@@ -113,11 +117,17 @@ TrainStats train(Sequential& model, const Dataset& train_set,
 
       LossStats clean_stats;
       if (config.quant_aware) {
-        stash.save(params);
-        const NetSnapshot snap = quantizer.quantize(params);
-        clean_stats =
-            quantized_pass(model, quantizer, snap, params, batch_images,
-                           batch_labels, config.label_smoothing);
+        const NetSnapshot snap = [&] {
+          BER_TRACE_SCOPE("train", "quantize");
+          stash.save(params);
+          return quantizer.quantize(params);
+        }();
+        {
+          BER_TRACE_SCOPE("train", "clean_pass");
+          clean_stats =
+              quantized_pass(model, quantizer, snap, params, batch_images,
+                             batch_labels, config.label_smoothing);
+        }
 
         if (uses_bit_errors && injection_active) {
           double p_now = config.p_train;
@@ -133,41 +143,53 @@ TrainStats train(Sequential& model, const Dataset& train_set,
                   ? config.pattern_seed
                   : hash_mix(config.seed, 0xB17E44ULL,
                              static_cast<std::uint64_t>(epoch));
-          // The epoch's chip fault list is built once and reapplied per
-          // batch; persistence makes it byte-identical to re-hashing the
-          // chip at p_now (u < p_now picks the same cells).
-          if (!chip_faults || chip_faults_seed != chip) {
-            BitErrorConfig bec;
-            bec.p = config.p_train;
-            chip_faults.emplace(snap, bec, chip, /*p_max=*/config.p_train);
-            chip_faults_seed = chip;
-          }
-          NetSnapshot perturbed = snap;
-          chip_faults->apply(perturbed, p_now);
+          // Accumulates the gradients of the pass on `snap` with the
+          // epoch's chip applied at p_now.
+          const auto perturbed_pass = [&] {
+            BER_TRACE_SCOPE("train", "perturbed_pass");
+            // The epoch's chip fault list is built once and reapplied per
+            // batch; persistence makes it byte-identical to re-hashing the
+            // chip at p_now (u < p_now picks the same cells).
+            if (!chip_faults || chip_faults_seed != chip) {
+              BitErrorConfig bec;
+              bec.p = config.p_train;
+              chip_faults.emplace(snap, bec, chip, /*p_max=*/config.p_train);
+              chip_faults_seed = chip;
+            }
+            NetSnapshot perturbed = snap;
+            chip_faults->apply(perturbed, p_now);
+            quantized_pass(model, quantizer, perturbed, params, batch_images,
+                           batch_labels, config.label_smoothing);
+          };
 
           if (config.alternating) {
             // Two separate updates: clean first, then perturbed with a
             // range projection so bit errors cannot grow the quantization
             // range (App. G.4 "alternating" variant).
-            stash.restore(params);
-            opt.step();
-            clip_weights(params, config.wmax);
             std::vector<float> pre_range(params.size());
-            for (std::size_t i = 0; i < params.size(); ++i) {
-              pre_range[i] = params[i]->value.abs_max();
-            }
-            stash.save(params);
-            model.zero_grad();
-            quantized_pass(model, quantizer, perturbed, params, batch_images,
-                           batch_labels, config.label_smoothing);
-            stash.restore(params);
-            opt.step();
-            for (std::size_t i = 0; i < params.size(); ++i) {
-              if (pre_range[i] > 0.0f) {
-                params[i]->value.clamp(-pre_range[i], pre_range[i]);
+            {
+              BER_TRACE_SCOPE("train", "step");
+              stash.restore(params);
+              opt.step();
+              clip_weights(params, config.wmax);
+              for (std::size_t i = 0; i < params.size(); ++i) {
+                pre_range[i] = params[i]->value.abs_max();
               }
+              stash.save(params);
             }
-            clip_weights(params, config.wmax);
+            model.zero_grad();
+            perturbed_pass();
+            {
+              BER_TRACE_SCOPE("train", "step");
+              stash.restore(params);
+              opt.step();
+              for (std::size_t i = 0; i < params.size(); ++i) {
+                if (pre_range[i] > 0.0f) {
+                  params[i]->value.clamp(-pre_range[i], pre_range[i]);
+                }
+              }
+              clip_weights(params, config.wmax);
+            }
             loss_sum += clean_stats.loss * b;
             correct += clean_stats.correct;
             seen += b;
@@ -175,20 +197,23 @@ TrainStats train(Sequential& model, const Dataset& train_set,
           }
           // Standard RANDBET: accumulate perturbed gradients on top
           // (summed update, Alg. 1 line 16).
-          quantized_pass(model, quantizer, perturbed, params, batch_images,
-                         batch_labels, config.label_smoothing);
+          perturbed_pass();
         }
-        stash.restore(params);
       } else {
         // Plain float training (post-training quantization experiments).
+        BER_TRACE_SCOPE("train", "clean_pass");
         Tensor logits = model.forward(batch_images, /*training=*/true);
         clean_stats = softmax_cross_entropy(logits, batch_labels,
                                             config.label_smoothing);
         model.backward(clean_stats.grad_logits);
       }
 
-      opt.step();
-      clip_weights(params, config.wmax);
+      {
+        BER_TRACE_SCOPE("train", "step");
+        if (config.quant_aware) stash.restore(params);
+        opt.step();
+        clip_weights(params, config.wmax);
+      }
 
       loss_sum += clean_stats.loss * b;
       correct += clean_stats.correct;

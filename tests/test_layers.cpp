@@ -1,17 +1,26 @@
 // Gradient checks and behavioural tests for all basic layers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/rng.h"
+#include "kernels/backend.h"
 #include "nn/activation.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "nn/norm.h"
 #include "nn/pool.h"
 #include "test_util.h"
 
 namespace ber {
 namespace {
 
+using test::backward_step;
+using test::expect_thread_invariant;
 using test::gradcheck_layer;
+using test::same_step;
+using test::train_step;
 
 Tensor rand_input(std::vector<long> shape, std::uint64_t seed = 1) {
   Rng rng(seed);
@@ -172,6 +181,80 @@ TEST(Layers, CloneIsDeep) {
   auto copy = conv.clone();
   conv.params()[0]->value[0] = 1234.0f;
   EXPECT_NE(copy->params()[0]->value[0], 1234.0f);
+}
+
+// ------------------------------------------- training-cache lifetime ---
+
+// An inference forward between a training forward and its backward must
+// not touch what backward reads, even at another batch size.
+void expect_inference_keeps_cache(Layer& layer, std::vector<long> train_shape,
+                                  std::vector<long> infer_shape) {
+  const Tensor x = rand_input(train_shape, 7);
+  const test::LayerStep plain = train_step(layer, x);
+  layer.zero_grad();
+  const Tensor y = layer.forward(x, /*training=*/true);
+  layer.forward(rand_input(infer_shape, 8), /*training=*/false);
+  EXPECT_TRUE(same_step(backward_step(layer, y), plain)) << layer.name();
+}
+
+TEST(Layers, InferenceForwardKeepsTrainingCache) {
+  ReLU relu;
+  expect_inference_keeps_cache(relu, {2, 3, 4, 4}, {4, 3, 4, 4});
+  MaxPool2d pool(2);
+  expect_inference_keeps_cache(pool, {2, 3, 4, 4}, {4, 3, 4, 4});
+  GlobalAvgPool gap;
+  expect_inference_keeps_cache(gap, {2, 3, 4, 4}, {4, 3, 4, 4});
+  GroupNorm gn(2, 4);
+  rand_params(gn);
+  expect_inference_keeps_cache(gn, {2, 4, 4, 4}, {4, 4, 4, 4});
+}
+
+TEST(Layers, BackwardWithoutTrainingForwardThrows) {
+  const Tensor x = rand_input({2, 4, 4, 4});
+  const Tensor go4 = rand_input({2, 4, 4, 4});
+  ReLU relu;
+  EXPECT_THROW(relu.backward(go4), std::logic_error);
+  MaxPool2d pool(2);
+  EXPECT_THROW(pool.backward(rand_input({2, 4, 2, 2})), std::logic_error);
+  GlobalAvgPool gap;
+  EXPECT_THROW(gap.backward(rand_input({2, 4})), std::logic_error);
+  GroupNorm gn(2, 4);
+  EXPECT_THROW(gn.backward(go4), std::logic_error);
+  Conv2d conv(4, 4, 3, 1, 1);
+  EXPECT_THROW(conv.backward(go4), std::logic_error);
+  // An inference forward alone caches nothing for backward either.
+  relu.forward(x, false);
+  EXPECT_THROW(relu.backward(go4), std::logic_error);
+  pool.forward(x, false);
+  EXPECT_THROW(pool.backward(rand_input({2, 4, 2, 2})), std::logic_error);
+  gap.forward(x, false);
+  EXPECT_THROW(gap.backward(rand_input({2, 4})), std::logic_error);
+  gn.forward(x, false);
+  EXPECT_THROW(gn.backward(go4), std::logic_error);
+  // A cached forward of another batch size rejects the gradient.
+  pool.forward(x, true);
+  EXPECT_THROW(pool.backward(rand_input({4, 4, 2, 2})), std::invalid_argument);
+}
+
+// ------------------------------------------------- thread invariance ---
+
+TEST(Layers, TrainingStepBitIdenticalAcrossThreadCounts) {
+  // 8 x 16 x 32 x 32 = 131072 floats: above kIntraOpMinFloats, so every
+  // per-image / per-chunk loop splits when more than one thread is asked.
+  const Tensor x = rand_input({8, 16, 32, 32}, 41);
+  {
+    const kernels::ScopedBackend blocked(kernels::backend("blocked"));
+    Conv2d conv(16, 16, 3, 1, 1);  // coalesced lowering, stride-1 rows
+    rand_params(conv);
+    expect_thread_invariant(conv, x);
+    Conv2d strided(16, 8, 3, 2, 1);  // the general strided rows
+    rand_params(strided);
+    expect_thread_invariant(strided, x);
+  }
+  ReLU relu;
+  expect_thread_invariant(relu, x);
+  MaxPool2d pool(2);
+  expect_thread_invariant(pool, x);
 }
 
 }  // namespace

@@ -75,6 +75,20 @@ TEST(GroupNormTest, Gradcheck) {
   test::gradcheck_layer(gn, rand_input({2, 4, 3, 3}, 7), /*tol=*/3e-2);
 }
 
+TEST(GroupNormTest, TrainingStepBitIdenticalAcrossThreadCounts) {
+  // 8 x 16 x 32 x 32 floats: above kIntraOpMinFloats, so forward and
+  // backward split per image when more than one thread is asked. The
+  // per-image param-grad partials are added in image order.
+  GroupNorm gn(4, 16);
+  Rng rng(3);
+  for (Param* p : gn.params()) {
+    for (long i = 0; i < p->value.numel(); ++i) {
+      p->value[i] = 0.3f * rng.normal();
+    }
+  }
+  test::expect_thread_invariant(gn, rand_input({8, 16, 32, 32}, 41));
+}
+
 TEST(BatchNormTest, TrainForwardNormalizes) {
   BatchNorm2d bn(3);
   Tensor x = rand_input({4, 3, 4, 4});

@@ -220,6 +220,53 @@ TEST(Col2im, AdjointOfIm2col) {
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::abs(lhs)));
 }
 
+TEST(Im2col, StrideOneRowsMatchDefinition) {
+  // Stride-1 rows copy (im2col_ld) or add (col2im_ld) whole interior spans.
+  // Both must equal the per-pixel definition bit for bit, for pads that
+  // leave none, part or all of a row in bounds, with a leading dimension
+  // wider than one image's columns.
+  Rng rng(23);
+  for (const long k : {1L, 3L, 5L}) {
+    for (const long pad : {0L, 1L, 2L, 4L}) {
+      for (const long w : {1L, 3L, 6L}) {
+        const long c = 2, h = 4;
+        const long oh = conv_out_size(h, k, 1, pad);
+        const long ow = conv_out_size(w, k, 1, pad);
+        if (oh < 1 || ow < 1) continue;
+        const long ld = oh * ow + 3;
+        const Tensor img = Tensor::randn({c, h, w}, rng);
+        Tensor col({c * k * k, ld});
+        im2col_ld(img.data(), c, h, w, k, k, 1, pad, col.data(), ld);
+        const Tensor grad_col = Tensor::randn({c * k * k, ld}, rng);
+        Tensor back = Tensor::randn({c, h, w}, rng);
+        Tensor want = back;
+        col2im_ld(grad_col.data(), c, h, w, k, k, 1, pad, back.data(), ld);
+        long row = 0;
+        for (long ch = 0; ch < c; ++ch) {
+          for (long ki = 0; ki < k; ++ki) {
+            for (long kj = 0; kj < k; ++kj, ++row) {
+              for (long y = 0; y < oh; ++y) {
+                for (long x = 0; x < ow; ++x) {
+                  const long iy = y - pad + ki, ix = x - pad + kj;
+                  const bool in = iy >= 0 && iy < h && ix >= 0 && ix < w;
+                  const long at = row * ld + y * ow + x;
+                  const float v = in ? img[(ch * h + iy) * w + ix] : 0.0f;
+                  ASSERT_EQ(col[at], v)
+                      << "k" << k << " pad" << pad << " w" << w;
+                  if (in) want[(ch * h + iy) * w + ix] += grad_col[at];
+                }
+              }
+            }
+          }
+        }
+        for (long i = 0; i < back.numel(); ++i) {
+          ASSERT_EQ(back[i], want[i]) << "k" << k << " pad" << pad << " w" << w;
+        }
+      }
+    }
+  }
+}
+
 TEST(Softmax, RowsSumToOne) {
   Rng rng(5);
   Tensor logits = Tensor::randn({7, 10}, rng, 3.0f);

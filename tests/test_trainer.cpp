@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "data/shapes.h"
 #include "kernels/backend.h"
 #include "models/factory.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "train/trainer.h"
 
 namespace ber {
@@ -199,6 +202,75 @@ TEST(Trainer, RandBetCurricularTrajectoryPinned) {
                                 0x1.fce2fep+0f};
   EXPECT_EQ(s.epoch_loss, loss);
   EXPECT_EQ(s.final_test_err, 0x1.0a3d7p-1f);
+}
+
+// A SimpleNet-GN RandBET run at batch 64 on 16x16 images: every conv
+// lowering, GroupNorm, ReLU and MaxPool2d of the first four blocks touches
+// at least kIntraOpMinFloats floats, so those loops split over the pool
+// whenever more than one thread is asked for.
+struct ConvRun {
+  TrainStats stats;
+  std::vector<float> weights;  // every parameter, concatenated
+};
+
+ConvRun conv_randbet_run(const char* backend) {
+  SyntheticConfig dc = SyntheticConfig::cifar10();
+  dc.image_size = 16;
+  dc.n_train = 128;
+  dc.n_test = 64;
+  const Dataset train_set = make_synthetic(dc, true);
+  const Dataset test_set = make_synthetic(dc, false);
+  ModelConfig mc;  // SimpleNet + GroupNorm
+  mc.width = 8;
+  mc.image_size = 16;
+  TrainConfig tc;
+  tc.method = Method::kRandBET;
+  tc.wmax = 0.3f;
+  tc.p_train = 0.02;
+  tc.bit_error_loss_threshold = 99.0f;  // inject from epoch 1
+  tc.epochs = 3;
+  tc.batch_size = 64;
+  auto model = build_model(mc);
+  const kernels::ScopedBackend scoped(kernels::backend(backend));
+  ConvRun run{train(*model, train_set, test_set, tc), {}};
+  for (Param* p : model->params()) {
+    run.weights.insert(run.weights.end(), p->value.data(),
+                       p->value.data() + p->value.numel());
+  }
+  return run;
+}
+
+TEST(Trainer, ConvRandBetTrajectoryPinned) {
+  // Pinned under the reference backend (per-image conv lowering; the
+  // GroupNorm, ReLU and MaxPool2d loops are shared by every backend).
+  const ConvRun ref = conv_randbet_run("reference");
+  ASSERT_EQ(ref.stats.bit_error_start_epoch, 1);
+  const std::vector<float> loss{0x1.43ebd8p+1f, 0x1.31e08ep+1f,
+                                0x1.2934e4p+1f};
+  EXPECT_EQ(ref.stats.epoch_loss, loss);
+  EXPECT_EQ(ref.stats.final_test_err, 0x1.b8p-1f);
+  // FNV-1a over the bits of every trained weight, in params() order.
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const float w : ref.weights) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &w, sizeof bits);
+    hash = (hash ^ bits) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(hash, 0xf8615cebeda74225ull);
+
+  // The blocked backend's coalesced lowering, at several pool splits: the
+  // loss trajectory, test error and every trained weight are bit-identical.
+  const ConvRun one = [] {
+    const test::ScopedThreadsEnv threads("1");
+    return conv_randbet_run("blocked");
+  }();
+  for (const char* threads : {"3", "4"}) {
+    const test::ScopedThreadsEnv scoped(threads);
+    const ConvRun many = conv_randbet_run("blocked");
+    EXPECT_EQ(many.stats.epoch_loss, one.stats.epoch_loss) << threads;
+    EXPECT_EQ(many.stats.final_test_err, one.stats.final_test_err) << threads;
+    EXPECT_TRUE(test::same_bits(many.weights, one.weights)) << threads;
+  }
 }
 
 TEST(Trainer, NonQuantAwarePath) {

@@ -6,8 +6,12 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -91,6 +95,83 @@ inline void gradcheck_layer(Layer& layer, const Tensor& x, double tol = 2e-2,
       EXPECT_NEAR(p->grad[i], num, tol * std::max(1.0, std::abs(num)))
           << "param grad mismatch: " << p->name << "[" << i << "]";
     }
+  }
+}
+
+// Forward output, input grad and param grads of one training step with a
+// fixed pseudo-random upstream gradient.
+struct LayerStep {
+  std::vector<float> out, grad_in, grads;
+};
+
+inline std::vector<float> values(const Tensor& t) {
+  return {t.data(), t.data() + t.numel()};
+}
+
+// Backward of `layer` from its training forward output `y`.
+inline LayerStep backward_step(Layer& layer, const Tensor& y) {
+  Rng rng(5);
+  const Tensor go = Tensor::randn(y.shape(), rng);
+  LayerStep s{values(y), values(layer.backward(go)), {}};
+  for (Param* p : layer.params()) {
+    const std::vector<float> g = values(p->grad);
+    s.grads.insert(s.grads.end(), g.begin(), g.end());
+  }
+  return s;
+}
+
+inline LayerStep train_step(Layer& layer, const Tensor& x) {
+  layer.zero_grad();
+  const Tensor y = layer.forward(x, /*training=*/true);
+  return backward_step(layer, y);
+}
+
+inline bool same_bits(const std::vector<float>& a,
+                      const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+inline bool same_step(const LayerStep& a, const LayerStep& b) {
+  return same_bits(a.out, b.out) && same_bits(a.grad_in, b.grad_in) &&
+         same_bits(a.grads, b.grads);
+}
+
+// Sets BER_THREADS, which default_threads() reads on every call, for its
+// lifetime, then restores the caller's value (CI runs whole suites under a
+// fixed BER_THREADS).
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* threads) {
+    if (const char* prev = std::getenv("BER_THREADS")) prev_ = prev;
+    setenv("BER_THREADS", threads, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (prev_.empty()) {
+      unsetenv("BER_THREADS");
+    } else {
+      setenv("BER_THREADS", prev_.c_str(), 1);
+    }
+  }
+  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+
+ private:
+  std::string prev_;
+};
+
+// A training step at BER_THREADS 3 and 4 (read per call by the intra-op
+// gate) matches the step at 1 thread bit for bit.
+inline void expect_thread_invariant(Layer& layer, const Tensor& x) {
+  const LayerStep one = [&] {
+    const ScopedThreadsEnv threads("1");
+    return train_step(layer, x);
+  }();
+  for (const char* threads : {"3", "4"}) {
+    const ScopedThreadsEnv scoped(threads);
+    EXPECT_TRUE(same_step(train_step(layer, x), one))
+        << layer.name() << " at " << threads << " threads";
   }
 }
 
