@@ -34,7 +34,7 @@ int main() {
     NetSnapshot pert = clean;
     BitErrorConfig cfg;
     cfg.p = 0.025;
-    inject_random_bit_errors(pert, cfg, /*chip=*/77);
+    RandomBitErrorModel(cfg, /*chip=*/77).apply(pert, 0);
 
     double sum_abs = 0.0, max_abs = 0.0, sum_rel = 0.0;
     long changed = 0, total = 0;

@@ -1,14 +1,18 @@
 // Injection-throughput microbenchmark for the random bit error hot path.
 //
 // Compares, at p in {1e-4, 1e-3, 1e-2}:
-//   * scalar  — the seed per-(weight,bit) scalar loop
-//     (inject_random_bit_errors), one hash per coordinate;
+//   * scalar  — the scalar reference loop (inject_random_bit_errors), one
+//     hash per coordinate;
 //   * build   — constructing a ChipFaultList (the once-per-chip hash sweep);
 //   * apply   — applying a prebuilt ChipFaultList (the steady-state cost the
 //     evaluator pays per batch / voltage / rate of a trial);
 //   * build_mt / apply_mt — the same two on the intra-tensor sharded path
-//     with default_threads() workers. The snapshot is ONE dominant tensor,
-//     exactly the case per-tensor parallelism could not split.
+//     with default_threads() workers (an apply of fewer faults than the
+//     intra-op floor, here p < ~4e-3, stays inline). The snapshot is ONE
+//     dominant tensor, exactly the case per-tensor parallelism could not
+//     split.
+// The single-thread columns run inside a ParallelWorkerScope, which keeps
+// the list's shard loops inline (core/parallel.h).
 //
 // Emits a single JSON object (core/json) on stdout so future PRs can track
 // the hot path; `apply_speedup_vs_scalar` is the acceptance number (>= 5x at
@@ -60,14 +64,19 @@ int main() {
                 // repeated in-place application is safe for timing.
     const double scalar_sec = seconds_per_call(
         [&] { inject_random_bit_errors(snap, cfg, /*chip=*/7); });
-    const double build_sec = seconds_per_call(
-        [&] { ChipFaultList list(snap, cfg, /*chip_seed=*/7, p); });
+    const double build_sec = seconds_per_call([&] {
+      const ParallelWorkerScope one_thread;
+      ChipFaultList list(snap, cfg, /*chip_seed=*/7, p);
+    });
     const double build_mt_sec = seconds_per_call(
-        [&] { ChipFaultList list(snap, cfg, /*chip_seed=*/7, p, threads); });
+        [&] { ChipFaultList list(snap, cfg, /*chip_seed=*/7, p); });
     const ChipFaultList list(snap, cfg, 7, p);
-    const double apply_sec = seconds_per_call([&] { list.apply(snap, p); });
+    const double apply_sec = seconds_per_call([&] {
+      const ParallelWorkerScope one_thread;
+      list.apply(snap, p);
+    });
     const double apply_mt_sec =
-        seconds_per_call([&] { list.apply(snap, p, threads); });
+        seconds_per_call([&] { list.apply(snap, p); });
 
     Json row = Json::object();
     row.set("p", p);

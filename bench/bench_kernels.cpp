@@ -46,6 +46,15 @@ using namespace ber;
 using Clock = std::chrono::steady_clock;
 using bench::seconds_per_call;
 
+// seconds_per_call with every parallel_for inside `fn` run inline.
+template <typename Fn>
+double one_core_seconds_per_call(const Fn& fn) {
+  return seconds_per_call([&] {
+    const ParallelWorkerScope one_core;
+    fn();
+  });
+}
+
 double gflops(long m, long n, long k, double sec) {
   return 2.0 * static_cast<double>(m) * n * k / sec / 1e9;
 }
@@ -59,7 +68,9 @@ struct GemmCase {
 int main() {
   using kernels::BlockedBackend;
   const kernels::Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked1(/*threads=*/1);  // the single-core story
+  // The single-core story: every timing of blocked1 (and of the reference
+  // it is compared with) runs inside a ParallelWorkerScope.
+  const BlockedBackend blocked1;
   const kernels::Backend& blocked_mt = kernels::backend("blocked");
   const int threads = default_threads();
   Rng rng(1);
@@ -81,9 +92,9 @@ int main() {
     Tensor a = Tensor::randn({m, k}, rng);
     Tensor b = Tensor::randn({k, n}, rng);
     Tensor c({m, n});
-    const double ref_sec = seconds_per_call(
+    const double ref_sec = one_core_seconds_per_call(
         [&] { ref.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data()); });
-    const double blk_sec = seconds_per_call([&] {
+    const double blk_sec = one_core_seconds_per_call([&] {
       blocked1.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
     });
     const double mt_sec = seconds_per_call([&] {
@@ -110,16 +121,16 @@ int main() {
     Tensor a = Tensor::randn({m, k}, rng);
     Tensor b = Tensor::randn({k, n}, rng);
     Tensor c({m, n});
-    const double ref_at = seconds_per_call([&] {
+    const double ref_at = one_core_seconds_per_call([&] {
       ref.gemm_at(m, n, k, 1.0f, at.data(), b.data(), 0.0f, c.data());
     });
-    const double blk_at = seconds_per_call([&] {
+    const double blk_at = one_core_seconds_per_call([&] {
       blocked1.gemm_at(m, n, k, 1.0f, at.data(), b.data(), 0.0f, c.data());
     });
-    const double ref_bt = seconds_per_call([&] {
+    const double ref_bt = one_core_seconds_per_call([&] {
       ref.gemm_bt(m, n, k, 1.0f, a.data(), bt.data(), 0.0f, c.data());
     });
-    const double blk_bt = seconds_per_call([&] {
+    const double blk_bt = one_core_seconds_per_call([&] {
       blocked1.gemm_bt(m, n, k, 1.0f, a.data(), bt.data(), 0.0f, c.data());
     });
     Json variants = Json::array();
@@ -168,18 +179,18 @@ int main() {
       bool coalesced_conv() const override { return false; }
 
      private:
-      BlockedBackend inner_{/*threads=*/1};
+      BlockedBackend inner_;
     } blocked_per_image;
 
-    const double ref_sec = seconds_per_call([&] {
+    const double ref_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(ref);
       Tensor y = conv.forward(x, false);
     });
-    const double blk_img_sec = seconds_per_call([&] {
+    const double blk_img_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(blocked_per_image);
       Tensor y = conv.forward(x, false);
     });
-    const double blk_coal_sec = seconds_per_call([&] {
+    const double blk_coal_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(blocked1);
       Tensor y = conv.forward(x, false);
     });
@@ -208,11 +219,11 @@ int main() {
       }
     }
     Tensor x = Tensor::randn({batch, 32, 12, 12}, rng);
-    const double lowered_sec = seconds_per_call([&] {
+    const double lowered_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(blocked1);
       Tensor y = conv.forward(x, true);  // training: keeps im2col + cache
     });
-    const double elided_sec = seconds_per_call([&] {
+    const double elided_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(blocked1);
       Tensor y = conv.forward(x, false);  // inference: direct GEMM on x
     });
@@ -234,11 +245,11 @@ int main() {
     dc.n_test = 256;
     Dataset data = make_synthetic(dc, /*train=*/false);
     const long images = data.size();
-    const double ref_sec = seconds_per_call([&] {
+    const double ref_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(ref);
       evaluate(*model, data, /*batch=*/64);
     });
-    const double blk_sec = seconds_per_call([&] {
+    const double blk_sec = one_core_seconds_per_call([&] {
       kernels::ScopedBackend g(blocked1);
       evaluate(*model, data, /*batch=*/64);
     });
@@ -272,12 +283,12 @@ int main() {
       const NetSnapshot lsnap = lq.quantize(seq.params());
       Tensor x = Tensor::randn({batch, in}, lrng);
       deploy_snapshot(lsnap, param_slots(seq), /*on_codes=*/false);
-      const double float_sec = seconds_per_call([&] {
+      const double float_sec = one_core_seconds_per_call([&] {
         kernels::ScopedBackend g(blocked1);
         Tensor y = seq.forward(x, false);
       });
       deploy_snapshot(lsnap, param_slots(seq), /*on_codes=*/true);
-      const double quant_sec = seconds_per_call([&] {
+      const double quant_sec = one_core_seconds_per_call([&] {
         kernels::ScopedBackend g(blocked1);
         Tensor y = seq.forward(x, false);
       });
@@ -311,12 +322,12 @@ int main() {
     const NetSnapshot snap = quantizer.quantize(model->params());
     {
       deploy_snapshot(snap, param_slots(*model), /*on_codes=*/false);
-      const double float_sec = seconds_per_call([&] {
+      const double float_sec = one_core_seconds_per_call([&] {
         kernels::ScopedBackend g(blocked1);
         evaluate(*model, data, /*batch=*/64);
       });
       deploy_snapshot(snap, param_slots(*model), /*on_codes=*/true);
-      const double quant_sec = seconds_per_call([&] {
+      const double quant_sec = one_core_seconds_per_call([&] {
         kernels::ScopedBackend g(blocked1);
         evaluate(*model, data, /*batch=*/64);
       });
@@ -384,10 +395,7 @@ int main() {
       model->backward(softmax_cross_entropy(logits, labels).grad_logits);
     };
     const double mt_sec = seconds_per_call(step);
-    const double one_sec = seconds_per_call([&] {
-      const ParallelWorkerScope inline_only;
-      step();
-    });
+    const double one_sec = one_core_seconds_per_call(step);
     Json ts = Json::object();
     ts.set("batch", kBatch);
     ts.set("width", mc.width);

@@ -28,7 +28,7 @@ int main() {
       NetSnapshot snap = quantizer.quantize(params);
       BitErrorConfig cfg;
       cfg.p = p;
-      inject_random_bit_errors(snap, cfg, s.train.pattern_seed);
+      RandomBitErrorModel(cfg, s.train.pattern_seed).apply(snap, 0);
       quantizer.write_dequantized(snap, params);
       const float err = evaluate(model, data).error;
       stash.restore(params);

@@ -84,17 +84,19 @@ void ChipFaultList::init_layout(const NetSnapshot& layout) {
 
 ChipFaultList::ChipFaultList(const NetSnapshot& layout,
                              const BitErrorConfig& config,
-                             std::uint64_t chip_seed, double p_max,
-                             int threads)
+                             std::uint64_t chip_seed, double p_max)
     : chip_seed_(chip_seed), p_max_(p_max) {
   config.validate();
   if (!(p_max >= 0.0 && p_max <= 1.0)) {
     throw std::invalid_argument("ChipFaultList: p_max must be in [0,1]");
   }
   init_layout(layout);
+  std::size_t words = 0;
+  for (std::size_t size : tensor_sizes_) words += size;
   // The sweep visits coordinates in the same (tensor, element, bit) order as
   // the scalar path; element-range shards keep that order under parallelism.
-  parallel_for(static_cast<std::int64_t>(shards_.size()), threads,
+  parallel_for(static_cast<std::int64_t>(shards_.size()),
+               intra_op_threads(static_cast<double>(words), kIntraOpMinFloats),
                [&](std::int64_t s) {
                  Shard& shard = shards_[static_cast<std::size_t>(s)];
                  const QuantizedTensor& qt = layout.tensors[shard.tensor];
@@ -163,8 +165,7 @@ std::size_t ChipFaultList::size() const {
   return n;
 }
 
-std::size_t ChipFaultList::apply(NetSnapshot& snap, double p,
-                                 int threads) const {
+std::size_t ChipFaultList::apply(NetSnapshot& snap, double p) const {
   if (p > p_max_) {
     throw std::invalid_argument("ChipFaultList::apply: p exceeds p_max");
   }
@@ -185,7 +186,8 @@ std::size_t ChipFaultList::apply(NetSnapshot& snap, double p,
   if (forensics) flip_recs.resize(shards_.size());
   std::vector<std::size_t> changed(shards_.size(), 0);
   parallel_for(
-      static_cast<std::int64_t>(shards_.size()), threads,
+      static_cast<std::int64_t>(shards_.size()),
+      intra_op_threads(static_cast<double>(size()), kIntraOpMinFloats),
       [&](std::int64_t s) {
         const Shard& shard = shards_[static_cast<std::size_t>(s)];
         const std::vector<ChipFault>& faults = shard.faults;
@@ -281,10 +283,6 @@ std::size_t inject_random_bit_errors(NetSnapshot& snap,
                                      const BitErrorConfig& config,
                                      std::uint64_t chip_seed) {
   config.validate();
-  // Same forensics contract as ChipFaultList::apply — this is the path
-  // RandomBitErrorModel::apply takes through RobustnessEvaluator::run().
-  const bool forensics = obs::forensics_recording();
-  std::vector<obs::FlipRecord> flip_recs;
   std::size_t changed = 0;
   for (std::size_t t = 0; t < snap.tensors.size(); ++t) {
     QuantizedTensor& qt = snap.tensors[t];
@@ -299,28 +297,15 @@ std::size_t inject_random_bit_errors(NetSnapshot& snap,
                          config.p)) {
           continue;
         }
-        const std::uint16_t prev = code;
         code = apply_fault(code, j,
                            fault_type_at(config, chip_seed, widx,
                                          static_cast<std::uint64_t>(j)));
-        if (forensics) {
-          flip_recs.push_back({0, static_cast<std::uint32_t>(t),
-                               static_cast<std::uint32_t>(i),
-                               static_cast<std::uint8_t>(j),
-                               static_cast<std::uint8_t>(bits),
-                               static_cast<std::uint8_t>(
-                                   obs::classify_bit(j, bits)),
-                               prev, code});
-        }
       }
       if (code != before) {
         qt.codes[i] = code;
         ++changed;
       }
     }
-  }
-  if (forensics) {
-    obs::fault_ledger().record_apply(std::move(flip_recs), changed);
   }
   return changed;
 }

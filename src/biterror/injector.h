@@ -14,19 +14,21 @@
 // stuck-at-style faults is supported: a SET1 cell reads 1 regardless of the
 // stored bit (an error iff a 0 was stored), a SET0 cell reads 0.
 //
-// Injection has two paths:
-//   * ChipFaultList — the hot path. One O(W*m) hash sweep materializes the
-//     chip's sparse fault pattern (every cell with u < p_max, together with
-//     its u), after which applying the faults at ANY rate p <= p_max is
-//     O(p_max*W*m): the faults at p are exactly the entries with u < p.
-//     Evaluators reuse one list across every batch / voltage / rate of a
-//     trial, which is where the throughput win comes from.
-//   * inject_random_bit_errors — one in-place scalar pass hashing every
-//     (weight, bit) coordinate; the one-shot path for callers that use
-//     each chip once (RandomBitErrorModel, redundancy evaluation) and the
-//     bit-exactness reference for ChipFaultList tests and the injection
-//     microbenchmark.
-// Both paths consume the same hash stream, so they produce byte-identical
+// Injection has one runtime path, ChipFaultList. One O(W*m) hash sweep
+// materializes the chip's sparse fault pattern (every cell with u < p_max,
+// together with its u), after which applying the faults at ANY rate
+// p <= p_max is O(p_max*W*m): the faults at p are exactly the entries with
+// u < p. Evaluators reuse one list across every batch / voltage / rate of a
+// trial; one-shot callers (RandomBitErrorModel::apply, redundancy
+// evaluation) build a list at p and apply it once, which costs no more than
+// a scalar pass. Profiled chips and adversarial flip sets assemble their
+// lists from per-tensor fault vectors, so ChipFaultList::apply is the one
+// loop that writes a faulted code word (and the one forensics hook).
+//
+// inject_random_bit_errors is the scalar reference: one in-place pass
+// hashing every (weight, bit) coordinate, kept as the bit-exactness oracle
+// for the list's tests and as the baseline of the injection microbenchmark.
+// Both consume the same hash stream, so they produce byte-identical
 // snapshots for a fixed chip seed.
 #pragma once
 
@@ -74,30 +76,30 @@ struct ChipFault {
 // The precomputed sparse fault pattern of one chip over a snapshot layout.
 //
 // Storage is sharded WITHIN tensors: each tensor's element range is split
-// into fixed-size chunks (boundaries depend only on the layout, never on
-// `threads`), and both the build sweep and apply() parallelize over shards.
-// Without this, parallelism was per-tensor and one dominant conv tensor
-// serialized the whole sweep. Shards partition the element space, so no two
-// shards touch the same code word and the result is independent of thread
-// count.
+// into fixed-size chunks (boundaries depend only on the layout, never on the
+// thread count), and both the build sweep and apply() parallelize over
+// shards. Without this, parallelism was per-tensor and one dominant conv
+// tensor serialized the whole sweep. Shards partition the element space, so
+// no two shards touch the same code word and the result is independent of
+// thread count. Both splits ask intra_op_threads() (core/parallel.h): on a
+// pool worker or inside a ParallelWorkerScope — the evaluator's chips and
+// cells, serving replicas — and below kIntraOpMinFloats words or faults,
+// they run inline.
 class ChipFaultList {
  public:
   // Scans every (weight, bit) coordinate of `layout` once and records the
   // cells with u < p_max. The layout only provides tensor sizes / offsets /
-  // bit widths; codes are not read. `threads` > 1 opts into a shard-parallel
-  // sweep — there is no gain from it when the caller is already parallel
-  // (the RobustnessEvaluator builds one list per chip, all chips in one
-  // parallel_for before its cells start, and a nested parallel_for runs
-  // its shards inline, see core/parallel.h).
+  // bit widths; codes are not read.
   ChipFaultList(const NetSnapshot& layout, const BitErrorConfig& config,
-                std::uint64_t chip_seed, double p_max, int threads = 1);
+                std::uint64_t chip_seed, double p_max);
 
   // Assembles a list from precomputed per-tensor fault vectors (one vector
   // per layout tensor, entries in ascending element order — checked). This
   // is how non-hash fault sources reuse the sharded apply path: e.g.
   // ProfiledChip::fault_list records each faulty cell with its vulnerability
-  // u so one list serves a whole voltage grid. `tag` is reported as
-  // chip_seed() for labeling.
+  // u so one list serves a whole voltage grid, and an adversarial flip set
+  // is a list of u = 0 cells. Entries of one element apply in vector order.
+  // `tag` is reported as chip_seed() for labeling.
   ChipFaultList(const NetSnapshot& layout,
                 std::vector<std::vector<ChipFault>> per_tensor, double p_max,
                 std::uint64_t tag = 0);
@@ -105,8 +107,9 @@ class ChipFaultList {
   // Applies the chip's faults at rate p <= p_max to `snap` (which must have
   // the layout the list was built for — tensor count, sizes and bit widths
   // are checked). Returns the number of code words that changed.
-  // O(#faults); no hashing. Same `threads` contract as the constructor.
-  std::size_t apply(NetSnapshot& snap, double p, int threads = 1) const;
+  // O(#faults); no hashing. The forensics hook (obs/forensics.h): inside a
+  // ForensicsTrialScope every applied fault is one ledger row.
+  std::size_t apply(NetSnapshot& snap, double p) const;
 
   // One (tensor, element) coordinate whose code word apply_delta rewrote.
   struct ChangedCode {
@@ -152,11 +155,12 @@ class ChipFaultList {
   std::vector<int> tensor_bits_;
 };
 
-// Injects bit errors into all tensors of the snapshot in one in-place
-// scalar pass (one hash per (weight, bit) coordinate). Only the low
+// The scalar reference: injects bit errors into all tensors of the snapshot
+// in one in-place pass (one hash per (weight, bit) coordinate). Only the low
 // `scheme.bits` of each code participate. Returns the number of code words
-// that changed. Build a ChipFaultList instead when one chip's faults are
-// reused across batches or rates, as the RandBET trainer does.
+// that changed. A test oracle and microbenchmark baseline only: runtime
+// injection builds a ChipFaultList (RandomBitErrorModel::apply). Records
+// nothing in the forensics ledger.
 std::size_t inject_random_bit_errors(NetSnapshot& snap,
                                      const BitErrorConfig& config,
                                      std::uint64_t chip_seed);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/hash.h"
-#include "obs/forensics.h"
 
 namespace ber {
 
@@ -114,8 +113,6 @@ std::size_t ProfiledChip::apply(NetSnapshot& snap, double v,
                                 std::uint64_t offset) const {
   const double p = model_rate_at(v);
   const std::uint64_t cells = static_cast<std::uint64_t>(num_cells());
-  const bool forensics = obs::forensics_recording();
-  std::vector<obs::FlipRecord> flip_recs;
   std::size_t changed = 0;
   for (std::size_t t = 0; t < snap.tensors.size(); ++t) {
     QuantizedTensor& qt = snap.tensors[t];
@@ -128,26 +125,13 @@ std::size_t ProfiledChip::apply(NetSnapshot& snap, double v,
         const std::uint64_t bit_addr = (base + i) * bits + j;
         const std::uint64_t cell = (offset + bit_addr) % cells;
         if (vulnerability_[static_cast<std::size_t>(cell)] >= p) continue;
-        const std::uint16_t prev = code;
         code = apply_fault(code, j, static_cast<FaultType>(type_[cell]));
-        if (forensics) {
-          flip_recs.push_back({0, static_cast<std::uint32_t>(t),
-                               static_cast<std::uint32_t>(i),
-                               static_cast<std::uint8_t>(j),
-                               static_cast<std::uint8_t>(bits),
-                               static_cast<std::uint8_t>(
-                                   obs::classify_bit(j, bits)),
-                               prev, code});
-        }
       }
       if (code != before) {
         qt.codes[i] = code;
         ++changed;
       }
     }
-  }
-  if (forensics) {
-    obs::fault_ledger().record_apply(std::move(flip_recs), changed);
   }
   return changed;
 }

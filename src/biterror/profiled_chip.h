@@ -73,8 +73,12 @@ class ProfiledChip {
   // style breakdown.
   double set1_share_at(double v) const;
 
-  // Injects this chip's faults into a quantized network snapshot with the
-  // given linear mapping offset (in bits). Returns changed code count.
+  // The scalar reference: injects this chip's faults into a quantized
+  // network snapshot with the given linear mapping offset (in bits), one
+  // cell lookup per (weight, bit). Returns changed code count. A test
+  // oracle and microbenchmark baseline only — runtime injection applies
+  // fault_list() (ProfiledChipModel::apply); records nothing in the
+  // forensics ledger.
   std::size_t apply(NetSnapshot& snap, double v, std::uint64_t offset) const;
 
   // The chip's sparse fault pattern over `layout` under mapping `offset`,
@@ -85,7 +89,8 @@ class ProfiledChip {
   // is persistent in voltage (faulty cells at a higher voltage are a subset
   // of those at a lower one), so ONE cell lookup sweep per mapping, at the
   // rate of the grid's lowest voltage, serves a whole voltage grid
-  // (RobustnessEvaluator::run_rate_sweep via ProfiledChipModel).
+  // (RobustnessEvaluator::run_rate_sweep via ProfiledChipModel), and a
+  // list built at model_rate_at(v) is the single-voltage injection.
   ChipFaultList fault_list(const NetSnapshot& layout, double p_max,
                            std::uint64_t offset) const;
 

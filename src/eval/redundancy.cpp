@@ -42,7 +42,7 @@ RedundancyStats redundancy_stats(Sequential& model, const QuantScheme& scheme,
   NetSnapshot perturbed = clean;
   BitErrorConfig bec;
   bec.p = p;
-  inject_random_bit_errors(perturbed, bec, chip_seed);
+  ChipFaultList(perturbed, bec, chip_seed, p).apply(perturbed, p);
   double err_sum = 0.0;
   long err_count = 0;
   for (std::size_t t = 0; t < clean.tensors.size(); ++t) {

@@ -7,7 +7,6 @@
 
 #include "biterror/injector.h"
 #include "core/hash.h"
-#include "obs/forensics.h"
 
 namespace ber {
 
@@ -60,35 +59,24 @@ void AdversarialBitErrorModel::validate_layout(
 
 std::size_t AdversarialBitErrorModel::apply(NetSnapshot& snap,
                                             std::uint64_t trial) const {
-  const std::vector<BitFlip>& flips = trials_[trial % trials_.size()];
-  // Attack flip sets land in the same forensics ledger as random injection
-  // (obs/forensics.h), so an adversarial campaign and its rate-matched
-  // random control are directly comparable. One relaxed load when off.
-  const bool forensics = obs::forensics_recording();
-  std::vector<obs::FlipRecord> flip_recs;
-  if (forensics) flip_recs.reserve(flips.size());
-  // Flips are distinct cells, so every touched word ends up changed; the
-  // changed count is the number of distinct words (several bits of one
-  // weight may be attacked together).
-  std::unordered_set<std::uint64_t> words;
-  for (const BitFlip& f : flips) {
-    std::uint16_t& code = snap.tensors[f.tensor].codes[f.index];
-    const std::uint16_t before = code;
-    code = apply_fault(code, f.bit, FaultType::kFlip);
-    if (forensics) {
-      const int width = snap.tensors[f.tensor].scheme.bits;
-      flip_recs.push_back({0, f.tensor, f.index, f.bit,
-                           static_cast<std::uint8_t>(width),
-                           static_cast<std::uint8_t>(
-                               obs::classify_bit(f.bit, width)),
-                           before, code});
-    }
-    words.insert((static_cast<std::uint64_t>(f.tensor) << 32) | f.index);
+  // A flip set is a fault list of u = 0 flip cells applied at rate 1, so it
+  // runs the one injection loop and lands in the same forensics ledger as
+  // random injection (an adversarial campaign and its rate-matched random
+  // control are directly comparable). The stable sort by element keeps the
+  // bits of one word in the attack's order.
+  std::vector<std::vector<ChipFault>> per_tensor(snap.tensors.size());
+  for (const BitFlip& f : trials_[trial % trials_.size()]) {
+    per_tensor.at(f.tensor).push_back(
+        {f.index, f.bit, static_cast<std::uint8_t>(FaultType::kFlip), 0.0});
   }
-  if (forensics) {
-    obs::fault_ledger().record_apply(std::move(flip_recs), words.size());
+  for (std::vector<ChipFault>& faults : per_tensor) {
+    std::stable_sort(faults.begin(), faults.end(),
+                     [](const ChipFault& a, const ChipFault& b) {
+                       return a.index < b.index;
+                     });
   }
-  return words.size();
+  return ChipFaultList(snap, std::move(per_tensor), /*p_max=*/1.0)
+      .apply(snap, 1.0);
 }
 
 std::vector<BitFlip> random_flip_set(const NetSnapshot& layout,

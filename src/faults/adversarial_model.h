@@ -5,7 +5,8 @@
 // (src/attack/attacker.h), or drawn uniformly by random_flip_model() as the
 // budget-matched control. Trial t applies flip set t (modulo the number of
 // sets, so any n_trials is safe inside worker threads); applying a set is
-// pure XOR on the stored codes, so the existing RobustnessEvaluator and the
+// pure XOR on the stored codes, through ChipFaultList::apply like every
+// other code-space injection, so the existing RobustnessEvaluator and the
 // bench harness run adversarial sweeps unchanged.
 #pragma once
 
@@ -31,6 +32,8 @@ class AdversarialBitErrorModel : public FaultModel {
   // Rejects flip sets whose coordinates fall outside `layout` (tensor index,
   // element index, or bit >= the tensor's code width).
   void validate_layout(const NetSnapshot& layout) const override;
+  // Returns the number of code words that changed: for a set of distinct
+  // cells, the number of distinct words it touches.
   std::size_t apply(NetSnapshot& snap, std::uint64_t trial) const override;
 
  private:

@@ -16,11 +16,11 @@ EccProtectedModel::EccProtectedModel(double p, std::uint64_t seed_base)
   }
 }
 
-EccProtectedModel::EccProtectedModel(std::unique_ptr<FaultModel> inner)
+EccProtectedModel::EccProtectedModel(
+    std::unique_ptr<RandomBitErrorModel> inner)
     : inner_(std::move(inner)) {
-  if (!inner_ || !inner_->supports_codeword_faults()) {
-    throw std::invalid_argument(
-        "EccProtectedModel: inner model must support codeword faults");
+  if (!inner_) {
+    throw std::invalid_argument("EccProtectedModel: null inner model");
   }
 }
 

@@ -10,14 +10,14 @@
 //   * the built-in i.i.d. Bernoulli source (rate p, one RNG per trial drawn
 //     over codeword bits in storage order) — reproduces the historical
 //     bench_ecc_baseline streams exactly;
-//   * composition with any inner FaultModel that supports_codeword_faults()
-//     (e.g. RandomBitErrorModel: persistent monotone faults with stuck-at
-//     type mixes reaching the check bits too).
+//   * composition with a RandomBitErrorModel's codeword faults (persistent
+//     monotone faults with stuck-at type mixes reaching the check bits too).
 #pragma once
 
 #include <memory>
 
 #include "faults/fault_model.h"
+#include "faults/random_bit_error_model.h"
 
 namespace ber {
 
@@ -28,8 +28,8 @@ class EccProtectedModel : public FaultModel {
   explicit EccProtectedModel(double p, std::uint64_t seed_base = 7777);
 
   // Composes the SECDED memory with `inner`'s codeword faults. Throws
-  // std::invalid_argument if inner lacks the capability.
-  explicit EccProtectedModel(std::unique_ptr<FaultModel> inner);
+  // std::invalid_argument if inner is null.
+  explicit EccProtectedModel(std::unique_ptr<RandomBitErrorModel> inner);
 
   std::string describe() const override;
   // Rejects layouts with codes wider than 8 bits (8 codes per data word).
@@ -39,7 +39,7 @@ class EccProtectedModel : public FaultModel {
  private:
   double p_ = 0.0;
   std::uint64_t seed_base_ = 7777;
-  std::unique_ptr<FaultModel> inner_;
+  std::unique_ptr<RandomBitErrorModel> inner_;
 };
 
 }  // namespace ber

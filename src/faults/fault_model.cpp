@@ -17,11 +17,6 @@ void FaultModel::apply_weights(const std::vector<Param*>&,
                          ": weight-space injection not supported");
 }
 
-void FaultModel::corrupt_codeword(SecdedWord&, std::uint64_t,
-                                  std::uint64_t) const {
-  throw std::logic_error(describe() + ": codeword faults not supported");
-}
-
 ChipFaultList FaultModel::fault_list(const NetSnapshot&, std::uint64_t,
                                      double) const {
   throw std::logic_error(describe() + ": not a persistent fault model");

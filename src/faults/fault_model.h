@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "biterror/injector.h"
-#include "ecc/secded.h"
 #include "nn/layer.h"
 #include "quant/net_quantizer.h"
 
@@ -69,14 +68,6 @@ class FaultModel {
   // kFloatWeights models.
   virtual void apply_weights(const std::vector<Param*>& params,
                              std::uint64_t trial) const;
-
-  // Optional capability: injecting faults into an arbitrary 72-bit SECDED
-  // codeword memory (data + check bits). EccProtectedModel composes with any
-  // model that supports this — check bits live outside the weight snapshot,
-  // so apply() alone cannot express them.
-  virtual bool supports_codeword_faults() const { return false; }
-  virtual void corrupt_codeword(SecdedWord& word, std::uint64_t word_index,
-                                std::uint64_t trial) const;
 
   // Optional capability: persistent faults (see the header comment).
   // fault_list() is trial `trial`'s sparse fault pattern over `layout`,

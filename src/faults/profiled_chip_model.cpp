@@ -27,7 +27,8 @@ std::string ProfiledChipModel::describe() const {
 
 std::size_t ProfiledChipModel::apply(NetSnapshot& snap,
                                      std::uint64_t trial) const {
-  return chip_->apply(snap, v_, offset_for_trial(trial));
+  const double p = chip_->model_rate_at(v_);
+  return fault_list(snap, trial, p).apply(snap, p);
 }
 
 ChipFaultList ProfiledChipModel::fault_list(const NetSnapshot& layout,

@@ -47,9 +47,7 @@ std::string RandomBitErrorModel::describe() const {
 
 std::size_t RandomBitErrorModel::apply(NetSnapshot& snap,
                                        std::uint64_t trial) const {
-  // Single-rate, fresh-chip injection: the one-shot scalar pass wins (no
-  // list to amortize). Sweeps go through fault_list() instead.
-  return inject_random_bit_errors(snap, config_, seed_base_ + trial);
+  return fault_list(snap, trial, config_.p).apply(snap, config_.p);
 }
 
 ChipFaultList RandomBitErrorModel::fault_list(const NetSnapshot& layout,

@@ -165,18 +165,16 @@ void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
                          static_cast<unsigned long long>(n) *
                          static_cast<unsigned long long>(k));
 
-  // Sharding geometry. Auto mode asks the intra-op gate, so inside an
+  // Sharding geometry. The intra-op gate keeps it serial inside an
   // evaluator/serving worker (coarse-grained parallelism already saturates
-  // the cores) it stays serial instead of oversubscribing T^2. One task per
+  // the cores) instead of oversubscribing T^2. One task per
   // shard owns a band of C along the dimension with more register tiles —
   // columns for the training shapes (m = 16..64 channels, n = batch *
   // pixels) — rounded to the tile, and runs the whole nest over it: one
   // dispatch per call. Results are bit-identical for any shard count (see
   // gemm_tile).
   const double flops = 2.0 * static_cast<double>(m) * n * k;
-  const int threads = threads_ > 0 && flops >= kShardMinFlops
-                          ? threads_
-                          : intra_op_threads(flops, kShardMinFlops);
+  const int threads = intra_op_threads(flops, kShardMinFlops);
   const long m_tiles = (m + kMR - 1) / kMR;
   const long n_tiles = (n + kNR - 1) / kNR;
   const bool split_n = n_tiles >= m_tiles;

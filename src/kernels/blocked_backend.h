@@ -7,10 +7,13 @@
 // routine parameterized by source strides serves all three variants
 // (gemm / gemm_at / gemm_bt) — a transpose is just a different stride pair.
 //
-// Threading: one core/parallel dispatch per call. Each task owns a band of
-// C — columns or rows, whichever dimension has more register tiles, with
-// band edges on tile boundaries — and runs the whole blocked nest over it,
-// packing its own B and A panels from its own (warm, per-thread) arena.
+// Threading: one core/parallel dispatch per call, over intra_op_threads()
+// shards (one thread on a pool worker or inside a ParallelWorkerScope, and
+// below a FLOP floor, so small GEMMs never pay a pool dispatch). Each task
+// owns a band of C — columns or rows, whichever dimension has more register
+// tiles, with band edges on tile boundaries — and runs the whole blocked
+// nest over it, packing its own B and A panels from its own (warm,
+// per-thread) arena.
 //
 // Determinism: for fixed (m, n, k), every C element is accumulated in the
 // same order regardless of the band split — KC blocks in sequence, then
@@ -27,11 +30,6 @@ namespace ber::kernels {
 
 class BlockedBackend final : public Backend {
  public:
-  // threads == 0: use default_threads() at call time, or one thread on a
-  // parallel worker. Sharding only kicks in above a FLOP threshold, so
-  // small GEMMs never pay a pool dispatch.
-  explicit BlockedBackend(int threads = 0) : threads_(threads) {}
-
   std::string name() const override { return "blocked"; }
   void gemm(long m, long n, long k, float alpha, const float* a,
             const float* b, float beta, float* c) const override;
@@ -73,8 +71,6 @@ class BlockedBackend final : public Backend {
   void run(long m, long n, long k, float alpha, const float* a, long a_is,
            long a_ps, const float* b, long b_ps, long b_js, float beta,
            float* c) const;
-
-  int threads_;
 };
 
 }  // namespace ber::kernels

@@ -109,28 +109,4 @@ std::unique_ptr<Sequential> build_model(const ModelConfig& config) {
   throw std::invalid_argument("build_model: unknown arch");
 }
 
-const char* arch_name(Arch arch) {
-  switch (arch) {
-    case Arch::kSimpleNet:
-      return "SimpleNet";
-    case Arch::kResNetSmall:
-      return "ResNetSmall";
-    case Arch::kMlp:
-      return "MLP";
-  }
-  return "?";
-}
-
-const char* norm_name(NormKind norm) {
-  switch (norm) {
-    case NormKind::kGroupNorm:
-      return "GN";
-    case NormKind::kBatchNorm:
-      return "BN";
-    case NormKind::kNone:
-      return "none";
-  }
-  return "?";
-}
-
 }  // namespace ber

@@ -29,7 +29,4 @@ struct ModelConfig {
 
 std::unique_ptr<Sequential> build_model(const ModelConfig& config);
 
-const char* arch_name(Arch arch);
-const char* norm_name(NormKind norm);
-
 }  // namespace ber

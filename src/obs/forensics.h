@@ -6,13 +6,15 @@
 //
 //   FaultLedger — a process-wide, per-trial structured record of every
 //   injected flip (tensor, word index, bit position, MSB/sign class, code
-//   before/after), filled from instrumentation hooks inside the injection
-//   hot paths (ChipFaultList::apply, the scalar injector, ProfiledChip and
-//   AdversarialBitErrorModel). The disabled path follows the BER_TRACE_SCOPE
-//   contract: one relaxed atomic load per apply() call, no allocation, no
-//   branch into recording code. Recording happens only inside a
-//   ForensicsTrialScope, so stray apply() calls (planner warm-ups, tests of
-//   other subsystems) never pollute the ledger even while it is enabled.
+//   before/after), filled from the one instrumentation hook, inside
+//   ChipFaultList::apply: random, profiled and adversarial faults all apply
+//   through it (the scalar references inject_random_bit_errors and
+//   ProfiledChip::apply are test oracles and record nothing). The disabled
+//   path follows the BER_TRACE_SCOPE contract: one relaxed atomic load per
+//   apply() call, no allocation, no branch into recording code. Recording
+//   happens only inside a ForensicsTrialScope, so stray apply() calls
+//   (planner warm-ups, tests of other subsystems) never pollute the ledger
+//   even while it is enabled.
 //
 //   PropagationProbe — clean-vs-faulted forwards on a fixed probe batch with
 //   per-layer activation capture (Sequential::forward_observed), recording

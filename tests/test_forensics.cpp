@@ -1,9 +1,11 @@
 // Fault-forensics tests (obs/forensics.h): the disabled-path contract
 // (bit-exact injection, no forensics.* registry keys), ledger exactness
-// against the stateless hash reference, counter reconciliation across all
-// three evaluator paths, probe determinism across thread counts, the
+// against the stateless hash reference, counter reconciliation across the
+// evaluator's paths (random, profiled and adversarial faults; one point and
+// rate sweeps), probe determinism across thread counts, the
 // adversarial-vs-random bit-position separation the attribution exists to
-// show, and the eval.forensics spec section.
+// show, the adversarial replay's pinned ledger rows, and the eval.forensics
+// spec section.
 //
 // The first test pins the disabled-mode guarantees, so it must run before
 // anything in this binary enables the ledger (gtest runs tests in
@@ -28,6 +30,7 @@
 #include "obs/forensics.h"
 #include "obs/metrics.h"
 #include "quant/net_quantizer.h"
+#include "test_util.h"
 
 namespace ber {
 namespace {
@@ -105,7 +108,8 @@ TEST(ForensicsLedger, EnabledWithoutScopeRecordsNothing) {
   NetSnapshot snap = make_snapshot(2000, 8);
   BitErrorConfig cfg;
   cfg.p = 0.02;
-  inject_random_bit_errors(snap, cfg, 3);  // no ForensicsTrialScope
+  const ChipFaultList list(snap, cfg, 3, cfg.p);
+  EXPECT_GT(list.apply(snap, cfg.p), 0u);  // no ForensicsTrialScope
   obs::fault_ledger().set_enabled(false);
   EXPECT_EQ(obs::fault_ledger().totals().applies, 0u);
   obs::fault_ledger().clear();
@@ -198,9 +202,13 @@ TEST(ForensicsCounters, LedgerReconcilesAcrossEvaluatorPaths) {
   campaign(
       [&] { ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 3, 40); });
   const ProfiledChipModel profiled(ProfiledChipConfig::chip1(), 0.9);
+  campaign([&] { ev.run(profiled, f.data, 2, 40); });
   const std::vector<double> rates{profiled.rate_at_voltage(1.0),
                                   profiled.rate_at_voltage(0.9)};
   campaign([&] { ev.run_rate_sweep(profiled, rates, f.data, 2, 40); });
+  const AdversarialBitErrorModel adversarial =
+      random_flip_model(ev.snapshot(), 30, 2, 99);
+  campaign([&] { ev.run(adversarial, f.data, 2, 40); });
   obs::fault_ledger().clear();
 }
 
@@ -220,7 +228,7 @@ TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
   using Campaign = std::function<void(const RobustnessEvaluator&)>;
   const auto run_with_threads = [&](const char* threads, const Campaign& run,
                                     int cells) {
-    setenv("BER_THREADS", threads, 1);
+    const test::ScopedThreadsEnv scoped(threads);
     RobustnessEvaluator ev(*f.model, scheme);
     obs::fault_ledger().clear();
     obs::fault_ledger().set_enabled(true);
@@ -238,7 +246,6 @@ TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
     EXPECT_TRUE(j.at("counter_reconciles").as_bool());
     EXPECT_EQ(j.at("profiles").at("eval").at("probes").at("trials").as_int(),
               cells);
-    unsetenv("BER_THREADS");
     return j.dump(2);
   };
 
@@ -341,6 +348,76 @@ TEST(ForensicsAttribution, AdversarialSeparatesFromRandomControl) {
   EXPECT_DOUBLE_EQ(eval_p.at("top_tensor_fraction").as_number(), 1.0);
   EXPECT_LT(ctrl_p.at("msb_fraction").as_number(), 0.5);
   EXPECT_LT(ctrl_p.at("top_tensor_fraction").as_number(), 1.0);
+  obs::fault_ledger().clear();
+}
+
+// ---------------------------------------------------------- replay ledger --
+
+TEST(AdversarialModel, ReplayLedgerPinned) {
+  // Two bits of one word listed high bit first, a second word listed after
+  // it with a lower index, and a second tensor listed first. The literals
+  // pin the replay order: the ledger view sorts by bit, so the bit-1 row's
+  // code_before (205, not the clean 141) shows that bit 6, listed first by
+  // the attack, was applied first.
+  NetSnapshot layout;
+  layout.tensors.push_back(
+      quantize(std::vector<float>{0.31f, -0.72f, 0.05f, 0.9f, -0.44f, 0.18f,
+                                  -0.06f, 0.63f},
+               QuantScheme::rquant(8)));
+  layout.offsets.push_back(0);
+  layout.tensors.push_back(
+      quantize(std::vector<float>{-0.5f, 0.25f, 0.8f, -0.1f, 0.4f, -0.9f},
+               QuantScheme::rquant(4)));
+  layout.offsets.push_back(8);
+  ASSERT_EQ(layout.tensors[0].codes,
+            (std::vector<std::uint16_t>{161, 0, 121, 254, 44, 141, 103, 212}));
+  ASSERT_EQ(layout.tensors[1].codes,
+            (std::vector<std::uint16_t>{3, 9, 14, 7, 11, 0}));
+  const AdversarialBitErrorModel fault({{BitFlip{1, 3, 2}, BitFlip{0, 5, 6},
+                                         BitFlip{0, 5, 1}, BitFlip{0, 2, 7}}});
+
+  obs::fault_ledger().clear();
+  obs::fault_ledger().set_enabled(true);
+  NetSnapshot snap = layout;
+  std::size_t changed = 0;
+  {
+    const obs::ForensicsTrialScope scope(4, "replay");
+    changed = fault.apply(snap, 0);
+  }
+  obs::fault_ledger().set_enabled(false);
+
+  EXPECT_EQ(changed, 3u);
+  EXPECT_EQ(snap.tensors[0].codes,
+            (std::vector<std::uint16_t>{161, 0, 249, 254, 44, 207, 103, 212}));
+  EXPECT_EQ(snap.tensors[1].codes,
+            (std::vector<std::uint16_t>{3, 9, 14, 3, 11, 0}));
+  struct Row {
+    std::uint32_t tensor, index;
+    int bit, width, bit_class;
+    std::uint16_t before, after;
+  };
+  const std::vector<Row> expected{{0, 2, 7, 8, 2, 121, 249},
+                                  {0, 5, 1, 8, 0, 205, 207},
+                                  {0, 5, 6, 8, 1, 141, 205},
+                                  {1, 3, 2, 4, 1, 7, 3}};
+  const std::vector<obs::FlipRecord> recs =
+      obs::fault_ledger().records("replay");
+  ASSERT_EQ(recs.size(), expected.size());
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    EXPECT_EQ(recs[k].token, 4u) << k;
+    EXPECT_EQ(recs[k].tensor, expected[k].tensor) << k;
+    EXPECT_EQ(recs[k].index, expected[k].index) << k;
+    EXPECT_EQ(recs[k].bit, expected[k].bit) << k;
+    EXPECT_EQ(recs[k].width, expected[k].width) << k;
+    EXPECT_EQ(recs[k].bit_class, expected[k].bit_class) << k;
+    EXPECT_EQ(recs[k].code_before, expected[k].before) << k;
+    EXPECT_EQ(recs[k].code_after, expected[k].after) << k;
+  }
+  const obs::FaultLedger::ProfileTotals totals =
+      obs::fault_ledger().totals("replay");
+  EXPECT_EQ(totals.flips, 4u);
+  EXPECT_EQ(totals.words_changed, 3u);
+  EXPECT_EQ(totals.applies, 1u);
   obs::fault_ledger().clear();
 }
 

@@ -198,7 +198,8 @@ void expect_within_activation_bound(const QWeightView& w, const float* x,
 
 TEST(QGemmBlocked, ParityWithOracleAcrossShapesAndSchemes) {
   const Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
+  const ParallelWorkerScope one_thread;
   Rng rng(111);
   const std::vector<QuantScheme> schemes{
       QuantScheme::normal(8), QuantScheme::rquant(8), QuantScheme::normal(4),
@@ -237,7 +238,8 @@ TEST(QGemmBlocked, ParityWithOracleAcrossShapesAndSchemes) {
 
 TEST(QGemmBlocked, WideSchemesFallBackToOracleBitExactly) {
   const Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
+  const ParallelWorkerScope one_thread;
   Rng rng(112);
   for (const int bits : {10, 12, 16}) {
     const long rows = 7, cols = 13, n = 6;
@@ -306,7 +308,8 @@ TEST(QuantWeightStore, BlockedHandlesPatchedOverflowCodes) {
   // After patching unsigned all-ones codes in, the blocked path must still
   // track the oracle — i.e. the rebased levels really fit int8.
   const Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
+  const ParallelWorkerScope one_thread;
   Rng rng(122);
   const long rows = 4, cols = 64, n = 65;
   const std::vector<float> wf = random_values(rows * cols, rng);

@@ -185,7 +185,8 @@ const std::vector<GemmShape>& parity_shapes() {
 
 TEST(BlockedGemm, ParityWithReferenceAcrossShapesAndBetas) {
   const Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
+  const ParallelWorkerScope one_thread;
   Rng rng(11);
   for (const auto& s : parity_shapes()) {
     for (float beta : {0.0f, 1.0f, 0.5f}) {
@@ -203,7 +204,8 @@ TEST(BlockedGemm, ParityWithReferenceAcrossShapesAndBetas) {
 
 TEST(BlockedGemm, ParityTransposedVariants) {
   const Backend& ref = kernels::backend("reference");
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
+  const ParallelWorkerScope one_thread;
   Rng rng(12);
   for (const auto& s : parity_shapes()) {
     Tensor at = Tensor::randn({s.k, s.m}, rng);  // A stored [k,m]
@@ -235,9 +237,19 @@ TEST(BlockedGemm, ThreadedShardingIsBitIdentical) {
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
   Tensor c1({m, n}), c4({m, n}), c3({m, n});
-  BlockedBackend(1).gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-  BlockedBackend(4).gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
-  BlockedBackend(3).gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c3.data());
+  const BlockedBackend blocked;
+  {
+    const ParallelWorkerScope one_thread;
+    blocked.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
+  }
+  {
+    const test::ScopedThreadsEnv threads("4");
+    blocked.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
+  }
+  {
+    const test::ScopedThreadsEnv threads("3");
+    blocked.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c3.data());
+  }
   for (long i = 0; i < c1.numel(); ++i) {
     ASSERT_EQ(c1[i], c4[i]) << "shard-count-dependent result at " << i;
     ASSERT_EQ(c1[i], c3[i]) << "shard-count-dependent result at " << i;
@@ -260,8 +272,9 @@ TEST(BlockedGemm, SkinnyTrainingShapesBitIdenticalAcrossThreadCounts) {
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
     const Tensor bt = Tensor::randn({s.n, s.k}, rng);
     const Tensor c0 = Tensor::randn({s.m, s.n}, rng);
+    const BlockedBackend bk;
     const auto run = [&](int threads, int variant) {
-      const BlockedBackend bk(threads);
+      const test::ScopedThreadsEnv scoped(std::to_string(threads).c_str());
       Tensor c = c0;
       if (variant == 0) {
         bk.gemm(s.m, s.n, s.k, 0.5f, a.data(), b.data(), 1.0f, c.data());
@@ -289,16 +302,16 @@ TEST(BlockedGemm, SkinnyTrainingShapesBitIdenticalAcrossThreadCounts) {
 TEST(BlockedGemm, WorkerArenasStayFlatAcrossRepeatedThreadedGemms) {
   // No heap allocation after warm-up on the threaded path: pool workers
   // persist, so their scratch arenas do too. Warm every participant by
-  // running the GEMM on it (a nested call runs all bands inline, each with
-  // exactly a pool task's arena demand), then check that 20 threaded calls
-  // leave every participant's arena capacity unchanged.
+  // running the GEMM on it (a nested call runs one band over all of C,
+  // whose arena demand bounds a pool task's), then check that 20 threaded
+  // calls leave every participant's arena capacity unchanged.
   const int participants = default_threads();
   if (participants < 2) GTEST_SKIP() << "single-threaded pool";
   const long m = 16, n = BlockedBackend::nr() * participants * 8, k = 773;
   Rng rng(16);
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
-  const BlockedBackend bk(participants);
+  const BlockedBackend bk;  // default_threads() participants
   const auto gemm = [&] {
     Tensor c({m, n});
     bk.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
@@ -324,9 +337,9 @@ TEST(BlockedGemm, WorkerArenasStayFlatAcrossRepeatedThreadedGemms) {
 }
 
 TEST(BlockedGemm, WorkerMarkerKeepsAutoShardingSerial) {
-  // parallel_for participants are marked so the blocked backend's auto
-  // thread mode ("blocked" in the registry, threads=0) stays serial inside
-  // evaluator/serving workers instead of oversubscribing T^2.
+  // parallel_for participants are marked so the blocked backend's sharding
+  // (intra_op_threads) stays serial inside evaluator/serving workers
+  // instead of oversubscribing T^2.
   EXPECT_FALSE(in_parallel_worker());
   bool flags[2] = {false, false};
   parallel_for(2, 2, [&](std::int64_t i) { flags[i] = in_parallel_worker(); });
@@ -346,7 +359,7 @@ TEST(BlockedGemm, RepeatedCallsAreDeterministic) {
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
   Tensor c0({m, n}), c1({m, n});
-  const BlockedBackend blocked(1);
+  const BlockedBackend blocked;
   blocked.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c0.data());
   blocked.gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
   for (long i = 0; i < c0.numel(); ++i) ASSERT_EQ(c0[i], c1[i]);

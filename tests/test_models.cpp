@@ -100,13 +100,6 @@ TEST(Models, GrayscaleInput) {
   EXPECT_EQ(y.shape(), (std::vector<long>{1, 10}));
 }
 
-TEST(Models, NamesAreHumanReadable) {
-  EXPECT_STREQ(arch_name(Arch::kSimpleNet), "SimpleNet");
-  EXPECT_STREQ(arch_name(Arch::kResNetSmall), "ResNetSmall");
-  EXPECT_STREQ(norm_name(NormKind::kGroupNorm), "GN");
-  EXPECT_STREQ(norm_name(NormKind::kBatchNorm), "BN");
-}
-
 TEST(Models, TwentyClassHead) {
   ModelConfig mc;
   mc.num_classes = 20;

@@ -140,10 +140,12 @@ inline bool same_step(const LayerStep& a, const LayerStep& b) {
 
 // Sets BER_THREADS, which default_threads() reads on every call, for its
 // lifetime, then restores the caller's value (CI runs whole suites under a
-// fixed BER_THREADS).
+// fixed BER_THREADS). The pool is created first, at the caller's size:
+// BER_THREADS sizes it once, at creation, and a scoped value must not.
 class ScopedThreadsEnv {
  public:
   explicit ScopedThreadsEnv(const char* threads) {
+    parallel_for(2, 2, [](std::int64_t) {});
     if (const char* prev = std::getenv("BER_THREADS")) prev_ = prev;
     setenv("BER_THREADS", threads, 1);
   }
