@@ -23,16 +23,15 @@ using namespace ber::bench;
 std::vector<RobustResult> secded_sweep(const std::string& name,
                                        const std::vector<double>& grid,
                                        int chips, bool persistent) {
-  Json params = Json::object();
-  params.set("persistent", persistent);
-  const api::Report report =
-      api::Experiment(persistent ? "ecc_persistent" : "ecc_bernoulli")
-          .zoo(name)
-          .fault("ecc", std::move(params))
-          .param_grid("p", grid)
-          .trials(chips)
-          .clean_err(false)
-          .run();
+  api::ExperimentSpec spec;
+  spec.name = persistent ? "ecc_persistent" : "ecc_bernoulli";
+  spec.models.emplace_back().zoo = name;
+  spec.fault.model = "ecc";
+  spec.fault.params.set("persistent", persistent);
+  spec.eval.grid = {"p", grid};
+  spec.eval.n_trials = chips;
+  spec.eval.clean_err = false;
+  const api::Report report = api::Runner(spec).run();
   std::vector<RobustResult> out;
   out.reserve(grid.size());
   for (const api::ReportPoint& pt : report.models.front().points) {

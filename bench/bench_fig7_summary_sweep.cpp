@@ -1,8 +1,8 @@
 // Fig. 7: best-per-method RErr vs bit error rate on all three datasets
 // (CIFAR10 / CIFAR100 / MNIST analogs).
 //
-// Thin driver over the declarative experiment API: one api::Experiment per
-// dataset sweeps every model of every method across the whole p grid (one
+// Thin driver over the declarative experiment API: one api::ExperimentSpec
+// per dataset sweeps every model of every method across the whole p grid (one
 // fault-list build per chip); the best-per-method reduction happens on the
 // Report. The CIFAR10 sweep also ships as configs/fig7_c10.json.
 #include <algorithm>
@@ -21,14 +21,14 @@ void sweep(const std::string& title, const MethodGroups& methods,
            const std::vector<double>& grid) {
   std::printf("%s\n", title.c_str());
 
-  api::Experiment experiment("fig7");
+  api::ExperimentSpec spec;
+  spec.name = "fig7";
   for (const auto& [label, names] : methods) {
-    for (const auto& name : names) experiment.zoo(name);
+    for (const auto& name : names) spec.models.emplace_back().zoo = name;
   }
-  const api::Report report = experiment.fault("random", Json::object())
-                                 .rate_grid(grid)
-                                 .clean_err(false)
-                                 .run();
+  spec.eval.rate_grid = grid;
+  spec.eval.clean_err = false;
+  const api::Report report = api::Runner(spec).run();
   // Index the report rows by zoo name for the per-method reduction.
   const auto rerr_of = [&](const std::string& name, std::size_t point) {
     for (const api::ModelReport& m : report.models) {

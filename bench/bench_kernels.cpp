@@ -15,8 +15,6 @@
 //                   is the acceptance number (>= 1.5x); the per-image
 //                   blocked column isolates how much of it is coalescing
 //                   rather than the faster GEMM.
-//   * conv_1x1    — pointwise-conv im2col elision: inference runs a plain
-//                   GEMM on the input, vs the lowered (cache-filling) path.
 //   * end_to_end  — clean-evaluation throughput (images/s) of the paper's
 //                   default model under each backend.
 //   * int8        — compute-on-codes datapath at 8 bits: quantized-vs-float
@@ -203,36 +201,6 @@ int main() {
     conv_j.set("coalesced_speedup_vs_blocked_per_image",
                blk_img_sec / blk_coal_sec);
     report.set("conv", std::move(conv_j));
-  }
-
-  // -------------------------------------------------------- conv 1x1 ---
-  // Pointwise convolution: inference elides im2col entirely (plain GEMM on
-  // the input). Compare against a same-shape forward that is forced down
-  // the lowered path by running in training mode (which must fill the
-  // column cache for backward).
-  {
-    const long batch = 8;
-    Conv2d conv(32, 64, 1, 1, 0);
-    for (Param* p : conv.params()) {
-      for (long i = 0; i < p->value.numel(); ++i) {
-        p->value[i] = rng.normal() * 0.1f;
-      }
-    }
-    Tensor x = Tensor::randn({batch, 32, 12, 12}, rng);
-    const double lowered_sec = one_core_seconds_per_call([&] {
-      kernels::ScopedBackend g(blocked1);
-      Tensor y = conv.forward(x, true);  // training: keeps im2col + cache
-    });
-    const double elided_sec = one_core_seconds_per_call([&] {
-      kernels::ScopedBackend g(blocked1);
-      Tensor y = conv.forward(x, false);  // inference: direct GEMM on x
-    });
-    Json pw = Json::object();
-    pw.set("batch", batch);
-    pw.set("blocked_lowered_us", lowered_sec * 1e6);
-    pw.set("blocked_elided_us", elided_sec * 1e6);
-    pw.set("elision_speedup", lowered_sec / elided_sec);
-    report.set("conv_1x1", std::move(pw));
   }
 
   // ------------------------------------------------------- end to end ---

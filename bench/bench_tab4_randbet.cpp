@@ -18,13 +18,12 @@ int main() {
   zoo::ensure(all);
 
   const std::vector<double> grid{0.005, 0.01, 0.015};
-  api::Experiment experiment("tab4");
-  for (const auto& name : all) experiment.zoo(name);
-  Json params = Json::object();
-  params.set("seed_base", 1000);
-  const api::Report report = experiment.fault("random", std::move(params))
-                                 .rate_grid(grid)
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "tab4";
+  for (const auto& name : all) spec.models.emplace_back().zoo = name;
+  spec.fault.params.set("seed_base", 1000);
+  spec.eval.rate_grid = grid;
+  const api::Report report = api::Runner(spec).run();
 
   std::vector<std::string> headers{"Model", "Err (%)"};
   for (double p : grid) {

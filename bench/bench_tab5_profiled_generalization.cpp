@@ -1,8 +1,8 @@
 // Tab. 5 / Tab. 15: generalization of RandBET to profiled chips it has never
 // seen — including chip 2's column-aligned, 0-to-1-biased distribution.
 //
-// Thin driver over the declarative experiment API: one api::Experiment per
-// chip, the voltage grid swept through the evaluator's persistence fast
+// Thin driver over the declarative experiment API: one api::ExperimentSpec
+// per chip, the voltage grid swept through the evaluator's persistence fast
 // path (one cell-lookup sweep per mapping serves both voltages). The chip-2
 // scenario also ships as configs/tab5_profiled.json.
 #include "bench_util.h"
@@ -32,14 +32,14 @@ int main() {
                 chip_label.c_str(), cfg.vulnerable_column_fraction,
                 chip.set1_share_at(0.84));
 
-    api::Experiment experiment("tab5_" + chip_name);
-    for (const auto& name : models) experiment.zoo(name);
-    Json params = Json::object();
-    params.set("chip", chip_name);
-    const api::Report report = experiment.fault("profiled", std::move(params))
-                                   .voltage_grid(voltages)
-                                   .clean_err(false)
-                                   .run();
+    api::ExperimentSpec spec;
+    spec.name = "tab5_" + chip_name;
+    for (const auto& name : models) spec.models.emplace_back().zoo = name;
+    spec.fault.model = "profiled";
+    spec.fault.params.set("chip", chip_name);
+    spec.eval.voltage_grid = voltages;
+    spec.eval.clean_err = false;
+    const api::Report report = api::Runner(spec).run();
 
     std::vector<std::string> headers{"Model"};
     for (double v : voltages) {

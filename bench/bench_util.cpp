@@ -32,16 +32,16 @@ RobustResult rerr_with_scheme(const std::string& name,
   // One-point declarative experiment: zoo model, "random" fault at rate p,
   // the historical seed base. Identical numbers to a hand-wired
   // RobustnessEvaluator run (regression-pinned in tests/test_api.cpp).
-  Json params = Json::object();
-  params.set("p", p);
-  params.set("seed_base", 1000);
-  const api::Report report = api::Experiment("bench_rerr")
-                                 .zoo(name)
-                                 .fault("random", std::move(params))
-                                 .trials(zoo::default_chips())
-                                 .clean_err(false)
-                                 .eval_quant(scheme)
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "bench_rerr";
+  spec.models.emplace_back().zoo = name;
+  spec.fault.params.set("p", p);
+  spec.fault.params.set("seed_base", 1000);
+  spec.eval.n_trials = zoo::default_chips();
+  spec.eval.clean_err = false;
+  spec.eval.has_quant_override = true;
+  spec.eval.quant_override = scheme;
+  const api::Report report = api::Runner(spec).run();
   return report.models.front().points.front().result;
 }
 
@@ -51,13 +51,13 @@ std::vector<RobustResult> rerr_sweep(const std::string& name,
   // once and builds each chip's fault list once at max(grid)
   // (RobustnessEvaluator::run_rate_sweep); element i is bit-identical to
   // rerr(name, grid[i]).
-  const api::Report report = api::Experiment("bench_rerr_sweep")
-                                 .zoo(name)
-                                 .fault("random", Json::object())
-                                 .rate_grid(grid)
-                                 .trials(zoo::default_chips())
-                                 .clean_err(false)
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "bench_rerr_sweep";
+  spec.models.emplace_back().zoo = name;
+  spec.eval.rate_grid = grid;
+  spec.eval.n_trials = zoo::default_chips();
+  spec.eval.clean_err = false;
+  const api::Report report = api::Runner(spec).run();
   std::vector<RobustResult> out;
   out.reserve(report.models.front().points.size());
   for (const api::ReportPoint& pt : report.models.front().points) {

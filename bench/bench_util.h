@@ -1,10 +1,11 @@
 // Shared helpers for the paper-table bench binaries.
 //
 // The RErr helpers are thin shells over the declarative experiment API
-// (api/experiment.h): rerr()/rerr_sweep() build a one-off api::Experiment on
-// the zoo model and extract the RobustResults from its Report, so bench
-// binaries and `ber_run configs/*.json` produce their numbers through the
-// same Runner code path (bit-identical for a fixed seed).
+// (api/experiment.h): rerr()/rerr_sweep() fill a one-off api::ExperimentSpec
+// for the zoo model, run it through api::Runner and extract the
+// RobustResults from its Report, so bench binaries and
+// `ber_run configs/*.json` produce their numbers through the same Runner
+// code path (bit-identical for a fixed seed).
 #pragma once
 
 #include <chrono>

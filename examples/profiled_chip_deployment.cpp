@@ -3,8 +3,8 @@
 // synthetic profiled chips with different error structure — the Tab. 5
 // cross-chip generalization story as a go/no-go voltage selection tool.
 //
-// Declared through the experiment API: one api::Experiment per chip with a
-// "profiled" fault and a voltage grid; the Runner sweeps every voltage from
+// Declared through the experiment API: one api::ExperimentSpec per chip with
+// a "profiled" fault and a voltage grid; the Runner sweeps every voltage from
 // ONE cell-lookup pass per weight-to-memory mapping (profiled maps are
 // persistent in voltage) and the model checkpoint is shared across the
 // three experiments via the api cache.
@@ -49,17 +49,16 @@ int main() {
 
   double clean_pct = -1.0;
   for (const ChipCase& c : chips) {
-    Json params = Json::object();
-    params.set("chip", c.preset);
-    params.set("seed", c.seed);
-    const api::Report report =
-        api::Experiment(std::string("deploy_") + c.preset)
-            .model(entry)
-            .fault("profiled", std::move(params))
-            .voltage_grid(voltages)
-            .trials(4)
-            .split("test")
-            .run();
+    api::ExperimentSpec spec;
+    spec.name = std::string("deploy_") + c.preset;
+    spec.models.push_back(entry);
+    spec.fault.model = "profiled";
+    spec.fault.params.set("chip", c.preset);
+    spec.fault.params.set("seed", c.seed);
+    spec.eval.voltage_grid = voltages;
+    spec.eval.n_trials = 4;
+    spec.eval.split = "test";
+    const api::Report report = api::Runner(spec).run();
     const api::ModelReport& m = report.models.front();
     if (clean_pct < 0.0) {
       clean_pct = 100.0 * m.clean_err;

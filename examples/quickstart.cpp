@@ -35,13 +35,14 @@ int main() {
 
   // 2. Run it: the Runner owns train -> quantize once -> inject -> evaluate
   //    (one fault-list build per chip covers the whole rate grid).
-  const api::Report report = api::Experiment("quickstart")
-                                 .model(entry)
-                                 .fault("random", Json::object())
-                                 .rate_grid(rates)
-                                 .trials(5)
-                                 .split("test")
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "quickstart";
+  spec.models.push_back(entry);
+  spec.fault.model = "random";  // the Sec. 3 uniform bit error model
+  spec.eval.rate_grid = rates;
+  spec.eval.n_trials = 5;
+  spec.eval.split = "test";
+  const api::Report report = api::Runner(spec).run();
 
   // 3. Read the results off the structured report: RErr at increasing bit
   //    error rates, i.e. at decreasing SRAM supply voltage.

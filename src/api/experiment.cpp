@@ -316,80 +316,76 @@ Report Runner::run_serve() {
   s.fleet_energy = planner.fleet_energy_per_access(fleet);
   s.requests = sv.requests;
 
+  // A spec drives traffic open-loop or closed-loop, never both (validate()
+  // enforces it). Driven traffic moves the fleet into one pool; the
+  // canaries then run on whichever owns the replicas.
+  std::optional<ReplicaPool> pool;
+  if (sv.traffic.enabled() || sv.requests > 0) {
+    pool.emplace(std::move(fleet), sv.queue);
+  }
   if (sv.traffic.enabled()) {
     // Open-loop load: arrival-process schedules drive the pool on their own
     // clock (serve/traffic_gen.h); queueing delay and shed are properties
     // of the pool, not of a request-and-wait client. The scoreboard's
     // windowed timeline lands in the report.
-    ReplicaPool pool(std::move(fleet), sv.queue);
-    TrafficGenerator gen(pool, *rm.test_set, sv.traffic);
+    TrafficGenerator gen(*pool, *rm.test_set, sv.traffic);
     TrafficResult tr;
     {
       BER_TRACE_SCOPE_ARGS("runner", "traffic_open_loop",
                            {"phases", sv.traffic.phases.size()});
       tr = gen.run();
-      pool.drain();
+      pool->drain();
     }
     s.requests = static_cast<long>(tr.offered);
     s.answered = static_cast<long>(tr.answered);
     s.rejected = static_cast<long>(tr.shed);
     shed.add(0);  // key exists even if the generator never shed
     s.timeline = std::move(tr.timeline);
-    s.mean_batch = pool.stats().mean_batch_images;
-    BER_TRACE_SCOPE("runner", "canary");
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      s.canary_errs.push_back(pool.replica(i).canary(canary_set).error);
-    }
   } else if (sv.requests > 0) {
     // Drive single-image traffic through the dynamic-batching pool. With a
     // bounded queue (max_queue_images) submissions can be rejected; the
     // client retries with a short backoff (as a real load-shedding client
     // would) and counts a request as rejected only once the retry budget is
     // spent. Accepted requests must all answer (the no-loss contract).
-    ReplicaPool pool(std::move(fleet), sv.queue);
-    {
-      BER_TRACE_SCOPE_ARGS("runner", "traffic", {"requests", sv.requests});
-      Tensor image;
-      std::vector<int> labels;
-      std::vector<std::future<std::vector<Prediction>>> futures;
-      futures.reserve(static_cast<std::size_t>(sv.requests));
-      for (long i = 0; i < sv.requests; ++i) {
-        const long j = i % rm.test_set->size();
-        rm.test_set->batch(j, j + 1, image, labels);
-        Tensor single = image.reshaped(
-            {image.shape(1), image.shape(2), image.shape(3)});
-        for (int attempt = 0;; ++attempt) {
-          try {
-            // Copy per attempt: a rejected submit consumes its argument.
-            futures.push_back(pool.submit(single));
+    BER_TRACE_SCOPE_ARGS("runner", "traffic", {"requests", sv.requests});
+    Tensor image;
+    std::vector<int> labels;
+    std::vector<std::future<std::vector<Prediction>>> futures;
+    futures.reserve(static_cast<std::size_t>(sv.requests));
+    for (long i = 0; i < sv.requests; ++i) {
+      const long j = i % rm.test_set->size();
+      rm.test_set->batch(j, j + 1, image, labels);
+      Tensor single =
+          image.reshaped({image.shape(1), image.shape(2), image.shape(3)});
+      for (int attempt = 0;; ++attempt) {
+        try {
+          // Copy per attempt: a rejected submit consumes its argument.
+          futures.push_back(pool->submit(single));
+          break;
+        } catch (const QueueFullError&) {
+          // Budget ~100ms: several batch service times, so a shed means
+          // the pool is genuinely stalled, not mid-drain.
+          if (attempt >= 200) {
+            // Shed = dropped after the whole retry budget, not a transient
+            // queue-full (those are serve.queue_rejections).
+            ++s.rejected;
+            shed.add(1);
             break;
-          } catch (const QueueFullError&) {
-            // Budget ~100ms: several batch service times, so a shed means
-            // the pool is genuinely stalled, not mid-drain.
-            if (attempt >= 200) {
-              // Shed = dropped after the whole retry budget, not a transient
-              // queue-full (those are serve.queue_rejections).
-              ++s.rejected;
-              shed.add(1);
-              break;
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(500));
           }
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
         }
       }
-      for (auto& f : futures) s.answered += static_cast<long>(f.get().size());
-      pool.drain();
     }
-    s.mean_batch = pool.stats().mean_batch_images;
-    BER_TRACE_SCOPE("runner", "canary");
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      s.canary_errs.push_back(pool.replica(i).canary(canary_set).error);
-    }
-  } else {
-    BER_TRACE_SCOPE("runner", "canary");
-    for (Replica& r : fleet) {
-      s.canary_errs.push_back(r.canary(canary_set).error);
-    }
+    for (auto& f : futures) s.answered += static_cast<long>(f.get().size());
+    pool->drain();
+  }
+  if (pool) s.mean_batch = pool->stats().mean_batch_images;
+
+  BER_TRACE_SCOPE("runner", "canary");
+  const std::size_t replicas = pool ? pool->size() : fleet.size();
+  for (std::size_t i = 0; i < replicas; ++i) {
+    Replica& r = pool ? pool->replica(i) : fleet[i];
+    s.canary_errs.push_back(r.canary(canary_set).error);
   }
   return report;
 }
@@ -401,114 +397,5 @@ Report Runner::run() {
   report.metrics = obs::registry().to_json();
   return report;
 }
-
-// -------------------------------------------------------------- Experiment --
-
-Experiment::Experiment(std::string name) { spec_.name = std::move(name); }
-
-Experiment& Experiment::description(std::string text) {
-  spec_.description = std::move(text);
-  return *this;
-}
-
-Experiment& Experiment::backend(std::string name) {
-  spec_.backend = std::move(name);
-  return *this;
-}
-
-Experiment& Experiment::compute_on_codes(bool on) {
-  spec_.compute_on_codes = on;
-  return *this;
-}
-
-Experiment& Experiment::zoo(const std::string& zoo_name) {
-  ModelEntry e;
-  e.zoo = zoo_name;
-  spec_.models.push_back(std::move(e));
-  return *this;
-}
-
-Experiment& Experiment::model(ModelEntry entry) {
-  spec_.models.push_back(std::move(entry));
-  return *this;
-}
-
-Experiment& Experiment::fault(std::string model, Json params) {
-  spec_.fault.model = std::move(model);
-  spec_.fault.params = std::move(params);
-  return *this;
-}
-
-Experiment& Experiment::rate_grid(std::vector<double> grid) {
-  spec_.eval.rate_grid = std::move(grid);
-  return *this;
-}
-
-Experiment& Experiment::voltage_grid(std::vector<double> grid) {
-  spec_.eval.voltage_grid = std::move(grid);
-  return *this;
-}
-
-Experiment& Experiment::param_grid(std::string param,
-                                   std::vector<double> values) {
-  spec_.eval.grid.param = std::move(param);
-  spec_.eval.grid.values = std::move(values);
-  return *this;
-}
-
-Experiment& Experiment::trials(int n) {
-  spec_.eval.n_trials = n;
-  return *this;
-}
-
-Experiment& Experiment::split(std::string split) {
-  spec_.eval.split = std::move(split);
-  return *this;
-}
-
-Experiment& Experiment::subset(long n) {
-  spec_.eval.subset = n;
-  return *this;
-}
-
-Experiment& Experiment::batch(long n) {
-  spec_.eval.batch = n;
-  return *this;
-}
-
-Experiment& Experiment::clean_err(bool enabled) {
-  spec_.eval.clean_err = enabled;
-  return *this;
-}
-
-Experiment& Experiment::eval_quant(const QuantScheme& scheme) {
-  spec_.eval.has_quant_override = true;
-  spec_.eval.quant_override = scheme;
-  return *this;
-}
-
-Experiment& Experiment::forensics(int probe_images, bool control,
-                                  double threshold) {
-  spec_.eval.forensics.enabled = true;
-  spec_.eval.forensics.probe_images = probe_images;
-  spec_.eval.forensics.threshold = threshold;
-  spec_.eval.forensics.control = control;
-  return *this;
-}
-
-Experiment& Experiment::serve(ServeSection section) {
-  spec_.kind = "serve";
-  spec_.serve = std::move(section);
-  return *this;
-}
-
-ExperimentSpec Experiment::spec() const {
-  ExperimentSpec s = spec_;
-  s.validate();
-  return s;
-}
-
-// Runner's constructor validates, so don't pay spec()'s extra pass.
-Report Experiment::run() const { return Runner(spec_).run(); }
 
 }  // namespace ber::api

@@ -1,5 +1,6 @@
-// The experiment engine: a fluent builder over ExperimentSpec, a Runner that
-// owns the two lifecycles behind every number in the repo —
+// The experiment engine: a Runner that executes an ExperimentSpec (parsed
+// from a config file, or filled field by field in C++) and owns the two
+// lifecycles behind every number in the repo —
 //
 //   robustness:  resolve model (zoo::load_or_train: the one recipe cache
 //                for zoo and inline entries) -> quantize once ->
@@ -110,50 +111,6 @@ class Runner {
   // models sharing one eval set materializes its head exactly once.
   std::map<std::pair<const Dataset*, long>, std::unique_ptr<Dataset>>
       subsets_;
-};
-
-// Fluent builder: mirrors the spec sections for C++ callers (benches,
-// examples, tests). Every setter returns *this; run() validates and
-// executes.
-//
-//   Report r = Experiment("tab4")
-//                  .zoo("c10_rquant").zoo("c10_randbet015_p1")
-//                  .fault("random", params)
-//                  .rate_grid({0.005, 0.01, 0.015})
-//                  .run();
-class Experiment {
- public:
-  explicit Experiment(std::string name);
-
-  Experiment& description(std::string text);
-  Experiment& backend(std::string name);
-  Experiment& compute_on_codes(bool on = true);
-  Experiment& zoo(const std::string& zoo_name);
-  Experiment& model(ModelEntry entry);
-  // Fault params as a Json object (or omit for defaults).
-  Experiment& fault(std::string model, Json params = Json::object());
-  Experiment& rate_grid(std::vector<double> grid);
-  Experiment& voltage_grid(std::vector<double> grid);
-  Experiment& param_grid(std::string param, std::vector<double> values);
-  Experiment& trials(int n);
-  Experiment& split(std::string split);       // "rerr" | "test"
-  Experiment& subset(long n);
-  Experiment& batch(long n);
-  Experiment& clean_err(bool enabled);
-  Experiment& eval_quant(const QuantScheme& scheme);
-  // Opt-in fault forensics (obs/forensics.h): flip ledger + attribution,
-  // propagation probes on `probe_images` examples, and — for adversarial
-  // faults — a budget-matched random control pass when `control` is set.
-  Experiment& forensics(int probe_images = 0, bool control = false,
-                        double threshold = 1e-4);
-  Experiment& serve(ServeSection section);    // switches kind to "serve"
-
-  // The validated spec (throws on inconsistencies).
-  ExperimentSpec spec() const;
-  Report run() const;
-
- private:
-  ExperimentSpec spec_;
 };
 
 }  // namespace ber::api

@@ -15,12 +15,48 @@ namespace ber::api {
 
 namespace {
 
-[[noreturn]] void unknown(const std::string& what, const std::string& name,
-                          const std::vector<std::string>& known) {
+// One row of a name table. `alias` rows (norm "gn"/"bn") parse but are
+// never listed or printed: a value prints as the name of its first row.
+template <typename T>
+struct Named {
+  const char* name;
+  T value;
+  bool alias = false;
+};
+
+// The canonical names of `table`, built once.
+template <const auto& table>
+const std::vector<std::string>& names_of() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const auto& row : table) {
+      if (!row.alias) v.emplace_back(row.name);
+    }
+    return v;
+  }();
+  return names;
+}
+
+// Throws std::invalid_argument listing the canonical names on a miss.
+template <const auto& table>
+auto lookup(const char* what, const std::string& name) {
+  for (const auto& row : table) {
+    if (name == row.name) return row.value;
+  }
   std::string list;
-  for (const std::string& n : known) list += (list.empty() ? "" : ", ") + n;
-  throw std::invalid_argument("unknown " + what + " \"" + name +
+  for (const std::string& n : names_of<table>()) {
+    list += (list.empty() ? "" : ", ") + n;
+  }
+  throw std::invalid_argument(std::string("unknown ") + what + " \"" + name +
                               "\" (known: " + list + ")");
+}
+
+template <const auto& table, typename T>
+const char* name_of(T value) {
+  for (const auto& row : table) {
+    if (row.value == value) return row.name;
+  }
+  return "?";
 }
 
 }  // namespace
@@ -268,7 +304,7 @@ std::unique_ptr<FaultModel> make_adversarial(const Json& params,
 using FaultFactory = std::unique_ptr<FaultModel> (*)(const Json&,
                                                      const FaultContext&);
 
-constexpr std::pair<const char*, FaultFactory> kFaultModels[] = {
+constexpr Named<FaultFactory> kFaultModels[] = {
     {"random", make_random},
     {"profiled", make_profiled},
     {"ecc", make_ecc},
@@ -278,128 +314,95 @@ constexpr std::pair<const char*, FaultFactory> kFaultModels[] = {
 
 }  // namespace
 
-const std::vector<std::string>& fault_model_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> v;
-    for (const auto& [name, factory] : kFaultModels) v.emplace_back(name);
-    return v;
-  }();
-  return names;
-}
-
 std::unique_ptr<FaultModel> make_fault_model(const std::string& name,
                                              const Json& params,
                                              const FaultContext& ctx) {
-  for (const auto& [known, factory] : kFaultModels) {
-    if (name == known) return factory(params, ctx);
-  }
-  unknown("fault model", name, fault_model_names());
+  return lookup<kFaultModels>("fault model", name)(params, ctx);
+}
+
+const std::vector<std::string>& fault_model_names() {
+  return names_of<kFaultModels>();
 }
 
 // --------------------------------------------------- name <-> enum mappings --
 
+namespace {
+
+constexpr Named<Arch> kArchs[] = {
+    {"simplenet", Arch::kSimpleNet},
+    {"resnet", Arch::kResNetSmall},
+    {"mlp", Arch::kMlp},
+};
+
+constexpr Named<NormKind> kNorms[] = {
+    {"groupnorm", NormKind::kGroupNorm},
+    {"batchnorm", NormKind::kBatchNorm},
+    {"none", NormKind::kNone},
+    {"gn", NormKind::kGroupNorm, /*alias=*/true},
+    {"bn", NormKind::kBatchNorm, /*alias=*/true},
+};
+
+constexpr Named<Method> kMethods[] = {
+    {"normal", Method::kNormal},
+    {"clipping", Method::kClipping},
+    {"randbet", Method::kRandBET},
+    {"pattbet", Method::kPattBET},
+};
+
+constexpr Named<SyntheticConfig (*)()> kDatasets[] = {
+    {"c10", SyntheticConfig::cifar10},
+    {"mnist", SyntheticConfig::mnist},
+    {"c100", SyntheticConfig::cifar100},
+};
+
+constexpr Named<QuantScheme (*)(int)> kQuantSchemes[] = {
+    {"normal", QuantScheme::normal},
+    {"rquant", QuantScheme::rquant},
+    {"global_symmetric", QuantScheme::global_symmetric},
+    {"rquant_trunc", QuantScheme::rquant_trunc},
+    {"symmetric_rounded", QuantScheme::symmetric_rounded},
+};
+
+}  // namespace
+
 Arch arch_by_name(const std::string& name) {
-  if (name == "simplenet") return Arch::kSimpleNet;
-  if (name == "resnet") return Arch::kResNetSmall;
-  if (name == "mlp") return Arch::kMlp;
-  unknown("arch", name, arch_names());
+  return lookup<kArchs>("arch", name);
 }
 
 NormKind norm_by_name(const std::string& name) {
-  if (name == "groupnorm" || name == "gn") return NormKind::kGroupNorm;
-  if (name == "batchnorm" || name == "bn") return NormKind::kBatchNorm;
-  if (name == "none") return NormKind::kNone;
-  unknown("norm", name, norm_names());
+  return lookup<kNorms>("norm", name);
 }
 
 Method method_by_name(const std::string& name) {
-  if (name == "normal") return Method::kNormal;
-  if (name == "clipping") return Method::kClipping;
-  if (name == "randbet") return Method::kRandBET;
-  if (name == "pattbet") return Method::kPattBET;
-  unknown("training method", name, method_names());
+  return lookup<kMethods>("training method", name);
 }
 
 SyntheticConfig dataset_by_name(const std::string& name) {
-  if (name == "c10") return SyntheticConfig::cifar10();
-  if (name == "mnist") return SyntheticConfig::mnist();
-  if (name == "c100") return SyntheticConfig::cifar100();
-  unknown("dataset", name, dataset_names());
+  return lookup<kDatasets>("dataset", name)();
 }
 
 QuantScheme quant_scheme_by_name(const std::string& name, int bits) {
-  if (name == "normal") return QuantScheme::normal(bits);
-  if (name == "rquant") return QuantScheme::rquant(bits);
-  if (name == "global_symmetric") return QuantScheme::global_symmetric(bits);
-  if (name == "rquant_trunc") return QuantScheme::rquant_trunc(bits);
-  if (name == "symmetric_rounded") return QuantScheme::symmetric_rounded(bits);
-  unknown("quant scheme", name, quant_scheme_names());
+  return lookup<kQuantSchemes>("quant scheme", name)(bits);
 }
 
-const std::vector<std::string>& arch_names() {
-  static const std::vector<std::string> names{"simplenet", "resnet", "mlp"};
-  return names;
-}
-
-const std::vector<std::string>& norm_names() {
-  static const std::vector<std::string> names{"groupnorm", "batchnorm",
-                                              "none"};
-  return names;
-}
-
-const std::vector<std::string>& method_names() {
-  static const std::vector<std::string> names{"normal", "clipping", "randbet",
-                                              "pattbet"};
-  return names;
-}
-
+const std::vector<std::string>& arch_names() { return names_of<kArchs>(); }
+const std::vector<std::string>& norm_names() { return names_of<kNorms>(); }
+const std::vector<std::string>& method_names() { return names_of<kMethods>(); }
 const std::vector<std::string>& dataset_names() {
-  static const std::vector<std::string> names{"c10", "mnist", "c100"};
-  return names;
+  return names_of<kDatasets>();
 }
-
 const std::vector<std::string>& quant_scheme_names() {
-  static const std::vector<std::string> names{
-      "normal", "rquant", "global_symmetric", "rquant_trunc",
-      "symmetric_rounded"};
-  return names;
+  return names_of<kQuantSchemes>();
 }
 
-const char* arch_to_name(Arch arch) {
-  switch (arch) {
-    case Arch::kSimpleNet: return "simplenet";
-    case Arch::kResNetSmall: return "resnet";
-    case Arch::kMlp: return "mlp";
-  }
-  return "?";
-}
-
-const char* norm_to_name(NormKind norm) {
-  switch (norm) {
-    case NormKind::kGroupNorm: return "groupnorm";
-    case NormKind::kBatchNorm: return "batchnorm";
-    case NormKind::kNone: return "none";
-  }
-  return "?";
-}
-
-const char* method_to_name(Method method) {
-  switch (method) {
-    case Method::kNormal: return "normal";
-    case Method::kClipping: return "clipping";
-    case Method::kRandBET: return "randbet";
-    case Method::kPattBET: return "pattbet";
-  }
-  return "?";
-}
+const char* arch_to_name(Arch arch) { return name_of<kArchs>(arch); }
+const char* norm_to_name(NormKind norm) { return name_of<kNorms>(norm); }
+const char* method_to_name(Method method) { return name_of<kMethods>(method); }
 
 const char* quant_scheme_to_name(const QuantScheme& scheme) {
-  const int bits = scheme.bits;
-  if (scheme == QuantScheme::normal(bits)) return "normal";
-  if (scheme == QuantScheme::rquant(bits)) return "rquant";
-  if (scheme == QuantScheme::global_symmetric(bits)) return "global_symmetric";
-  if (scheme == QuantScheme::rquant_trunc(bits)) return "rquant_trunc";
-  if (scheme == QuantScheme::symmetric_rounded(bits)) return "symmetric_rounded";
+  for (const auto& row : kQuantSchemes) {
+    if (scheme == row.value(scheme.bits)) return row.name;
+  }
   return "";
 }
 

@@ -3,9 +3,10 @@
 // Every component a spec file can name — fault models, architectures,
 // norms, datasets, quantization schemes, training methods — is
 // constructible by name (plus a JSON parameter map for fault models), so
-// new scenarios are DECLARED (a config file, or a fluent api::Experiment)
-// instead of compiled into another bespoke binary. Each mapping is a fixed
-// table; the *_names() lists are what `ber_run --list` prints.
+// new scenarios are DECLARED (a config file, or an ExperimentSpec filled in
+// C++) instead of compiled into another bespoke binary. Each mapping is one
+// constexpr name table that its *_by_name, *_names() and *_to_name all
+// read; the *_names() lists are what `ber_run --list` prints.
 //
 // Unknown names throw std::invalid_argument listing the known names; unknown
 // parameter keys throw with the offending key and the accepted ones (see
@@ -95,15 +96,15 @@ std::unique_ptr<FaultModel> make_fault_model(const std::string& name,
 
 // Each throws std::invalid_argument listing the known names on a miss.
 Arch arch_by_name(const std::string& name);         // simplenet | resnet | mlp
-NormKind norm_by_name(const std::string& name);     // groupnorm | batchnorm | none
+NormKind norm_by_name(const std::string& name);     // groupnorm | batchnorm | none (+ gn, bn)
 Method method_by_name(const std::string& name);     // normal | clipping | randbet | pattbet
 SyntheticConfig dataset_by_name(const std::string& name);  // c10 | mnist | c100
 // Base scheme by name: normal | rquant | global_symmetric | rquant_trunc |
 // symmetric_rounded (bit width applied by the caller).
 QuantScheme quant_scheme_by_name(const std::string& name, int bits);
 
-// The accepted names, for tooling (`ber_run --list`) — the single source of
-// truth the *_by_name mappings accept.
+// The canonical names, for tooling (`ber_run --list`): each mapping's table
+// minus its parse-only aliases (norm "gn"/"bn").
 const std::vector<std::string>& fault_model_names();
 const std::vector<std::string>& arch_names();
 const std::vector<std::string>& norm_names();

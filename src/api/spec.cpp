@@ -585,8 +585,8 @@ void ExperimentSpec::validate() const {
       (void)zoo::spec(e.zoo);  // throws on unknown zoo names
       continue;
     }
-    // Builder-made entries skip the JSON readers; re-check the dataset
-    // source shape here so Experiment::model() failures are actionable.
+    // Entries filled in C++ skip the JSON readers; re-check the dataset
+    // source shape here so their failures are actionable.
     data::check_dataset_source(e.dataset.source, "experiment \"" + name + "\"");
     if (e.dataset.source != "synthetic" && e.dataset.path.empty()) {
       fail("dataset source \"" + e.dataset.source +
@@ -650,8 +650,8 @@ void ExperimentSpec::validate() const {
         fail("serve.voltages must be strictly descending");
       }
     }
-    // Builder-made specs skip the JSON readers; re-check the open-loop
-    // traffic shape here so Experiment::serve() failures are actionable.
+    // Specs filled in C++ skip the JSON readers; re-check the open-loop
+    // traffic shape here so their failures are actionable.
     const TrafficConfig& t = serve.traffic;
     if (t.enabled()) {
       if (serve.requests > 0) {

@@ -4,10 +4,11 @@
 // bench binary.
 //
 // A spec serializes to and from JSON (core/json.h; // comments allowed in
-// files), so the same scenario can be expressed three ways:
-//   * a config file executed by the ber_run CLI (`ber_run configs/tab4.json`),
-//   * the fluent api::Experiment builder (api/experiment.h) in C++,
-//   * a Json value built programmatically.
+// files), so the same scenario can be expressed two ways, both executed by
+// api::Runner (api/experiment.h):
+//   * JSON: a config file run by the ber_run CLI (`ber_run configs/tab4.json`)
+//     or a Json value, parsed by from_json,
+//   * C++: an ExperimentSpec filled field by field.
 //
 // Sections: models (zoo references or inline model/quant/train definitions),
 // fault (registry name + parameter map), eval (trials, data split, one of
@@ -154,8 +155,8 @@ struct ExperimentSpec {
   Json to_json() const;
 
   // Cross-field rules (grid/fault compatibility, registry names, backend
-  // names, zoo names, serve shape). from_json runs this; builder users get
-  // it via Experiment::spec().
+  // names, zoo names, serve shape). from_json and the Runner's constructor
+  // run this, so a spec filled in C++ is checked like a parsed one.
   void validate() const;
 };
 

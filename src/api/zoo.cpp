@@ -254,7 +254,7 @@ std::unique_ptr<Sequential> load_or_train(const api::ModelEntry& entry) {
                    e.what());
     }
   }
-  // The training scheme is always the entry's quant section (builder-made
+  // The training scheme is always the entry's quant section (C++-filled
   // entries may leave train.quant at its default). Training pins the
   // reference backend so a cached artifact never depends on which backend
   // the surrounding process runs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/hash.h"
@@ -17,8 +16,8 @@ void Dataset::batch(long begin, long end, Tensor& out_images,
   out_images = Tensor({n, c, h, w});
   out_labels.resize(static_cast<std::size_t>(n));
   const long stride = c * h * w;
-  std::memcpy(out_images.data(), images.data() + begin * stride,
-              sizeof(float) * static_cast<std::size_t>(n * stride));
+  // copy_n, not memcpy: an empty batch (head(0)) has a null data pointer.
+  std::copy_n(images.data() + begin * stride, n * stride, out_images.data());
   for (long i = 0; i < n; ++i) {
     out_labels[static_cast<std::size_t>(i)] =
         labels[static_cast<std::size_t>(begin + i)];

@@ -16,32 +16,6 @@ long ConvShape::ow() const { return conv_out_size(w, kernel, stride, pad); }
 
 namespace {
 
-// 1x1 / stride-1 / no-pad convolutions need no column matrix at all: the
-// im2col of image i IS its input plane [C, H*W], so the GEMM can read x
-// directly. Only taken in inference mode (no cache to fill) — it elides the
-// whole copy, and the GEMM consumes the exact bytes the copy would have
-// produced, so results are bit-identical to the lowered path under every
-// backend (parity-pinned in tests/test_kernels.cpp).
-bool is_pointwise(const ConvShape& s) {
-  return s.kernel == 1 && s.stride == 1 && s.pad == 0;
-}
-
-void forward_pointwise(const Backend& bk, const ConvShape& s, const float* x,
-                       const float* weight, const float* bias, float* y) {
-  const long spatial = s.spatial();
-  for (long i = 0; i < s.n; ++i) {
-    bk.gemm(s.out_c, spatial, s.in_c, 1.0f, weight,
-            x + i * s.in_c * spatial, 0.0f, y + i * s.out_c * spatial);
-    if (bias) {
-      for (long c = 0; c < s.out_c; ++c) {
-        float* plane = y + (i * s.out_c + c) * spatial;
-        const float b = bias[c];
-        for (long p = 0; p < spatial; ++p) plane[p] += b;
-      }
-    }
-  }
-}
-
 // The seed Conv2d loop, kept order-identical so the reference backend stays
 // bit-exact: per image, im2col then one [out_c, spatial] GEMM then bias.
 void forward_per_image(const Backend& bk, const ConvShape& s, const float* x,
@@ -170,20 +144,6 @@ void backward_coalesced(const Backend& bk, const ConvShape& s,
   });
 }
 
-// Quantized-weight lowerings mirror the float ones above, with the bias /
-// ReLU epilogue fused into the qgemm writeback (so the coalesced transpose
-// below is a plain copy — the epilogue already ran per channel row, which
-// is elementwise-identical to folding it during the transpose).
-void forward_quant_pointwise(const Backend& bk, const ConvShape& s,
-                             const float* x, const QWeightView& w,
-                             const QEpilogue& ep, float* y) {
-  const long spatial = s.spatial();
-  for (long i = 0; i < s.n; ++i) {
-    bk.qgemm(w, spatial, x + i * s.in_c * spatial,
-             y + i * s.out_c * spatial, ep);
-  }
-}
-
 }  // namespace
 
 // Default quantized conv: per-image lowering + qgemm, the oracle every
@@ -210,11 +170,7 @@ void conv2d_forward_quant(const Backend& bk, const ConvShape& s,
   obs::KernelStats& ks = bk.kstats();
   ks.qconv_calls->add(1);
   ks.qconv_images->add(static_cast<unsigned long long>(s.n));
-  if (is_pointwise(s)) {
-    forward_quant_pointwise(bk, s, x, w, ep, y);
-  } else {
-    bk.qconv(s, x, w, ep, y);
-  }
+  bk.qconv(s, x, w, ep, y);
 }
 
 void conv2d_forward(const Backend& bk, const ConvShape& s, const float* x,
@@ -223,13 +179,6 @@ void conv2d_forward(const Backend& bk, const ConvShape& s, const float* x,
   obs::KernelStats& ks = bk.kstats();
   ks.conv_calls->add(1);
   ks.conv_images->add(static_cast<unsigned long long>(s.n));
-  if (cols_cache == nullptr && is_pointwise(s)) {
-    // Inference-mode 1x1 conv: plain GEMM on the input, no im2col (and, for
-    // coalesced backends, no channel-major writeback transpose either).
-    // Training keeps the lowered paths — backward consumes the cache.
-    forward_pointwise(bk, s, x, weight, bias, y);
-    return;
-  }
   if (bk.coalesced_conv()) {
     forward_coalesced(bk, s, x, weight, bias, y, cols_cache);
   } else {

@@ -53,9 +53,9 @@ void conv2d_forward(const Backend& bk, const ConvShape& s, const float* x,
                     Tensor* cols_cache);
 
 // Inference-only compute-on-codes forward: the same lowering strategies
-// (pointwise elision / per-image / coalesced), but the GEMM consumes the
-// stored weight code words through the backend's qgemm and the bias +
-// optional ReLU ride in the fused epilogue instead of separate passes.
+// (per-image / coalesced), but the GEMM consumes the stored weight code
+// words through the backend's qgemm and the bias + optional ReLU ride in
+// the fused epilogue instead of separate passes.
 // w.rows must be out_c and w.cols must be cols_k(). Under the reference
 // backend (scalar oracle qgemm) the result is bit-identical to
 // conv2d_forward on the dequantized weights followed by ReLU.

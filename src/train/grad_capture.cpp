@@ -15,6 +15,9 @@ GradCapture capture_weight_gradients(Sequential& model,
   if (n <= 0) {
     throw std::invalid_argument("capture_weight_gradients: empty dataset");
   }
+  if (batch < 1) {
+    throw std::invalid_argument("capture_weight_gradients: batch must be >= 1");
+  }
   const std::vector<Param*> params = model.params();
 
   // Save everything the probe clobbers: master weights, the caller's

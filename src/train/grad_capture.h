@@ -27,7 +27,8 @@ struct GradCapture {
 // Writes `snap`'s dequantized weights into `model`, runs forward/backward
 // over all of `data` in chunks of `batch`, and returns the mean-loss weight
 // gradients. The model is restored to its prior state (master weights,
-// gradient accumulators, norm buffers) before returning.
+// gradient accumulators, norm buffers) before returning. Throws
+// std::invalid_argument for an empty `data` or `batch` < 1.
 GradCapture capture_weight_gradients(Sequential& model,
                                      const NetQuantizer& quantizer,
                                      const NetSnapshot& snap,

@@ -46,6 +46,15 @@ TrainStats train(Sequential& model, const Dataset& train_set,
   if (config.batch_size < 1) {
     throw std::invalid_argument("train: batch_size must be >= 1");
   }
+  // Checked before the first epoch: an empty training set would average
+  // the epoch loss over zero examples, and an empty test set would only
+  // fail in the final test_error, after all the training.
+  if (train_set.size() == 0) {
+    throw std::invalid_argument("train: empty training set");
+  }
+  if (test_set.size() == 0) {
+    throw std::invalid_argument("train: empty test set");
+  }
   Rng rng(config.seed);
   he_init(model, rng);
   const std::vector<Param*> params = model.params();

@@ -66,7 +66,9 @@ struct TrainStats {
 };
 
 // Initializes (He) and trains `model` in place. The returned model carries
-// float master weights; callers quantize for deployment/evaluation.
+// float master weights; callers quantize for deployment/evaluation. Throws
+// std::invalid_argument before any training for batch_size < 1 or an empty
+// train or test set.
 TrainStats train(Sequential& model, const Dataset& train_set,
                  const Dataset& test_set, const TrainConfig& config);
 

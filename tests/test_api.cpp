@@ -204,6 +204,78 @@ TEST(Registry, RejectionsAreActionable) {
                std::invalid_argument);
 }
 
+// The name lists `ber_run --list` prints, each entry parsing back to a value
+// that prints as the same name.
+TEST(Registry, NameTablesRoundTrip) {
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(api::fault_model_names(),
+            (Names{"random", "profiled", "ecc", "linf", "adversarial"}));
+  EXPECT_EQ(api::arch_names(), (Names{"simplenet", "resnet", "mlp"}));
+  EXPECT_EQ(api::norm_names(), (Names{"groupnorm", "batchnorm", "none"}));
+  EXPECT_EQ(api::method_names(),
+            (Names{"normal", "clipping", "randbet", "pattbet"}));
+  EXPECT_EQ(api::dataset_names(), (Names{"c10", "mnist", "c100"}));
+  EXPECT_EQ(api::quant_scheme_names(),
+            (Names{"normal", "rquant", "global_symmetric", "rquant_trunc",
+                   "symmetric_rounded"}));
+
+  for (const std::string& n : api::arch_names()) {
+    EXPECT_EQ(api::arch_to_name(api::arch_by_name(n)), n);
+  }
+  for (const std::string& n : api::norm_names()) {
+    EXPECT_EQ(api::norm_to_name(api::norm_by_name(n)), n);
+  }
+  EXPECT_EQ(api::norm_by_name("gn"), NormKind::kGroupNorm);
+  EXPECT_EQ(api::norm_by_name("bn"), NormKind::kBatchNorm);
+  for (const std::string& n : api::method_names()) {
+    EXPECT_EQ(api::method_to_name(api::method_by_name(n)), n);
+  }
+  EXPECT_EQ(api::dataset_by_name("c10").num_classes, 10);
+  EXPECT_EQ(api::dataset_by_name("mnist").channels, 1);
+  EXPECT_EQ(api::dataset_by_name("c100").num_classes,
+            SyntheticConfig::cifar100().num_classes);
+  for (const int bits : {4, 8}) {
+    for (const std::string& n : api::quant_scheme_names()) {
+      const QuantScheme scheme = api::quant_scheme_by_name(n, bits);
+      EXPECT_EQ(scheme.bits, bits) << n;
+      EXPECT_EQ(api::quant_scheme_to_name(scheme), n) << bits;
+    }
+  }
+  // A scheme outside the presets has no name (quant_to_json spells it out).
+  QuantScheme unnamed = QuantScheme::rquant(8);
+  unnamed.scope = RangeScope::kGlobal;
+  EXPECT_STREQ(api::quant_scheme_to_name(unnamed), "");
+}
+
+TEST(Registry, UnknownNamesListTheKnownOnes) {
+  const auto message = [](const auto& parse) {
+    try {
+      parse("nope");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([](const std::string& n) { api::arch_by_name(n); }),
+            "unknown arch \"nope\" (known: simplenet, resnet, mlp)");
+  EXPECT_EQ(message([](const std::string& n) { api::norm_by_name(n); }),
+            "unknown norm \"nope\" (known: groupnorm, batchnorm, none)");
+  EXPECT_EQ(message([](const std::string& n) { api::method_by_name(n); }),
+            "unknown training method \"nope\" (known: normal, clipping, "
+            "randbet, pattbet)");
+  EXPECT_EQ(message([](const std::string& n) { api::dataset_by_name(n); }),
+            "unknown dataset \"nope\" (known: c10, mnist, c100)");
+  EXPECT_EQ(
+      message([](const std::string& n) { api::quant_scheme_by_name(n, 8); }),
+      "unknown quant scheme \"nope\" (known: normal, rquant, "
+      "global_symmetric, rquant_trunc, symmetric_rounded)");
+  EXPECT_EQ(message([](const std::string& n) {
+              api::make_fault_model(n, Json::object(), api::FaultContext{});
+            }),
+            "unknown fault model \"nope\" (known: random, profiled, ecc, "
+            "linf, adversarial)");
+}
+
 // ----------------------------------------------------------------- spec ---
 
 const char* kSpecText = R"({
@@ -243,16 +315,15 @@ TEST(Spec, ParseEmitParseIdentity) {
   EXPECT_EQ(spec.eval.rate_grid.size(), 2u);
 }
 
-TEST(Spec, BuilderSpecSurvivesJsonRoundTrip) {
-  Json params = Json::object();
-  params.set("seed_base", 1000);
-  const api::ExperimentSpec spec = api::Experiment("builder")
-                                       .zoo("c10_rquant")
-                                       .fault("random", std::move(params))
-                                       .rate_grid({0.005, 0.01})
-                                       .trials(3)
-                                       .split("rerr")
-                                       .spec();
+TEST(Spec, StructBuiltSpecSurvivesJsonRoundTrip) {
+  api::ExperimentSpec spec;
+  spec.name = "struct_built";
+  spec.models.emplace_back().zoo = "c10_rquant";
+  spec.fault.params.set("seed_base", 1000);
+  spec.eval.rate_grid = {0.005, 0.01};
+  spec.eval.n_trials = 3;
+  spec.eval.split = "rerr";
+  spec.validate();
   const api::ExperimentSpec reparsed =
       api::ExperimentSpec::from_json(spec.to_json());
   EXPECT_EQ(reparsed.to_json(), spec.to_json());
@@ -432,6 +503,21 @@ TEST(Zoo, LoadOrTrainCachesByRecipe) {
   EXPECT_EQ(unsetenv("BER_ARTIFACTS"), 0);
 }
 
+// One hash over every zoo recipe's checkpoint file name (name + recipe
+// fingerprint): any change to a recipe's normalized JSON would retrain every
+// cached model. BER_FAST shortens the epochs, so each mode has its own pin.
+TEST(Zoo, CheckpointFileNamesPinned) {
+  std::string names;
+  for (const api::ModelEntry& e : zoo::all_specs()) {
+    const std::string path = zoo::checkpoint_path(e);
+    names += path.substr(path.rfind('/') + 1) + "\n";
+  }
+  const std::uint64_t hash = data::fnv1a(
+      reinterpret_cast<const unsigned char*>(names.data()), names.size());
+  EXPECT_EQ(hash, fast_mode() ? 0x8673f6b3d7ea5d5eull : 0xe082582eb8216e38ull)
+      << std::hex << hash;
+}
+
 // The legacy hand-wired pipeline for the same recipe. Training pins the
 // reference backend exactly like Runner::resolve does — otherwise a
 // BER_BACKEND override would train a (slightly) different model here than
@@ -474,13 +560,13 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
   const RobustResult legacy_single =
       evaluator.run(RandomBitErrorModel(single, 1000), legacy.test_set, 2);
 
-  const api::Report report = api::Experiment("bitexact")
-                                 .model(tiny_entry())
-                                 .fault("random", Json::object())
-                                 .rate_grid(grid)
-                                 .trials(2)
-                                 .split("test")
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "bitexact";
+  spec.models.push_back(tiny_entry());
+  spec.eval.rate_grid = grid;
+  spec.eval.n_trials = 2;
+  spec.eval.split = "test";
+  const api::Report report = api::Runner(spec).run();
   const api::ModelReport& m = report.models.front();
   ASSERT_EQ(m.points.size(), grid.size());
   EXPECT_EQ(static_cast<float>(m.clean_err), legacy_clean);
@@ -500,16 +586,16 @@ TEST(Runner, GenericGridMatchesLegacySinglePoints) {
   LegacyRun legacy;
   // ECC persistent sweep over p through the generic grid.
   const std::vector<double> ps{0.002, 0.01};
-  Json params = Json::object();
-  params.set("persistent", true);
-  const api::Report report = api::Experiment("ecc_grid")
-                                 .model(tiny_entry())
-                                 .fault("ecc", std::move(params))
-                                 .param_grid("p", ps)
-                                 .trials(2)
-                                 .split("test")
-                                 .clean_err(false)
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "ecc_grid";
+  spec.models.push_back(tiny_entry());
+  spec.fault.model = "ecc";
+  spec.fault.params.set("persistent", true);
+  spec.eval.grid = {"p", ps};
+  spec.eval.n_trials = 2;
+  spec.eval.split = "test";
+  spec.eval.clean_err = false;
+  const api::Report report = api::Runner(spec).run();
   const RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
   for (std::size_t i = 0; i < ps.size(); ++i) {
     BitErrorConfig cfg;
@@ -522,13 +608,13 @@ TEST(Runner, GenericGridMatchesLegacySinglePoints) {
 }
 
 TEST(Runner, ReportJsonCarriesResults) {
-  const api::Report report = api::Experiment("json_report")
-                                 .model(tiny_entry())
-                                 .fault("random", Json::object())
-                                 .rate_grid({0.01})
-                                 .trials(2)
-                                 .split("test")
-                                 .run();
+  api::ExperimentSpec spec;
+  spec.name = "json_report";
+  spec.models.push_back(tiny_entry());
+  spec.eval.rate_grid = {0.01};
+  spec.eval.n_trials = 2;
+  spec.eval.split = "test";
+  const api::Report report = api::Runner(spec).run();
   const Json j = report.to_json();
   EXPECT_EQ(j.at("experiment").as_string(), "json_report");
   EXPECT_EQ(j.at("models")[0].at("points")[0].at("p").as_number(), 0.01);

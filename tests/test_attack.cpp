@@ -395,5 +395,20 @@ TEST(GradCapture, BatchSizeDoesNotChangeTheGradient) {
   }
 }
 
+// A batch below 1 would never advance the chunk loop.
+TEST(GradCapture, RejectsBatchBelowOne) {
+  Trained& t = trained();
+  Sequential clone(*t.model);
+  const NetQuantizer quantizer(t.scheme);
+  const NetSnapshot snap = quantizer.quantize(clone.params());
+  const Dataset subset = t.test_set.head(8);
+  for (const long batch : {0L, -1L}) {
+    EXPECT_THROW(
+        capture_weight_gradients(clone, quantizer, snap, subset, batch),
+        std::invalid_argument)
+        << batch;
+  }
+}
+
 }  // namespace
 }  // namespace ber

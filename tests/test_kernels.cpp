@@ -441,11 +441,9 @@ TEST(CoalescedConv, BackwardMatchesPerImage) {
   }
 }
 
-// 1x1 / stride-1 / no-pad convolutions elide im2col in inference mode (a
-// plain GEMM on the input). The GEMM consumes exactly the bytes the lowered
-// path would copy, so inference output must be BIT-identical to the
-// training-mode forward (which still lowers to fill the backward cache),
-// under both backends.
+// A 1x1 / stride-1 / no-pad conv lowers like any other: inference (column
+// scratch) must be BIT-identical to the training-mode forward (which fills
+// the backward cache), under both backends.
 TEST(PointwiseConv, ElisionIsBitExactWithLoweredPath) {
   Rng rng(27);
   for (const long batch : {1L, 5L}) {
@@ -469,7 +467,7 @@ TEST(PointwiseConv, ElisionIsBitExactWithLoweredPath) {
   }
 }
 
-// Strided / padded / k>1 convs must NOT take the pointwise shortcut.
+// A strided 1x1 conv agrees across backends.
 TEST(PointwiseConv, NonPointwiseShapesKeepLoweredSemantics) {
   Rng rng(28);
   Conv2d conv(3, 4, /*kernel=*/1, /*stride=*/2, /*pad=*/0);

@@ -379,6 +379,33 @@ TEST(Replica, ProfiledServeSpecRunsEndToEnd) {
             2);
 }
 
+// Traffic leaves every deterministic serve field alone: the canaries run on
+// the same replicas after a closed-loop burst, an open-loop schedule or no
+// traffic at all.
+TEST(Replica, ServeCanariesIndependentOfTraffic) {
+  const api::ExperimentSpec quiet = profiled_serve_spec();
+  api::ExperimentSpec burst = quiet;
+  burst.serve.requests = 24;
+  api::ExperimentSpec open = quiet;
+  ArrivalPhase phase;
+  phase.rate_rps = 200.0;
+  phase.duration_s = 0.1;
+  open.serve.traffic.phases.push_back(phase);
+
+  const api::ServeReport base = api::Runner(quiet).run().serve;
+  ASSERT_EQ(base.canary_errs.size(), 2u);
+  EXPECT_EQ(base.answered, 0);
+  for (const api::ExperimentSpec& spec : {burst, open}) {
+    const api::ServeReport s = api::Runner(spec).run().serve;
+    EXPECT_GT(s.answered, 0) << spec.serve.requests;
+    EXPECT_EQ(s.answered + s.rejected, s.requests);
+    EXPECT_EQ(s.clean_err, base.clean_err);
+    EXPECT_EQ(s.plan.chosen, base.plan.chosen);
+    EXPECT_EQ(s.canary_errs, base.canary_errs);
+    EXPECT_EQ(s.fleet_energy, base.fleet_energy);
+  }
+}
+
 TEST(Replica, StepUpReusesListBitExactly) {
   Served& s = Served::instance();
   OperatingPointPlanner planner(*s.model, s.scheme);

@@ -87,6 +87,22 @@ TEST(Trainer, CountsGatheredBatchesAndRejectsEmptyBatches) {
                std::invalid_argument);
 }
 
+// Empty training or test sets are rejected before the first batch: an empty
+// training set would average the epoch loss over zero examples (NaN).
+TEST(Trainer, RejectsEmptyDatasetsUpFront) {
+  Tiny t;
+  auto model = build_model(t.model_cfg);
+  TrainConfig tc = t.base_train();
+  tc.epochs = 2;
+  obs::Counter& batches = obs::registry().counter("data.batches_produced");
+  const std::uint64_t before = batches.value();
+  EXPECT_THROW(train(*model, t.train_set.head(0), t.test_set, tc),
+               std::invalid_argument);
+  EXPECT_THROW(train(*model, t.train_set, t.test_set.head(0), tc),
+               std::invalid_argument);
+  EXPECT_EQ(batches.value(), before);
+}
+
 TEST(Trainer, SeedChangesTrajectory) {
   Tiny t;
   auto m1 = build_model(t.model_cfg);
