@@ -56,9 +56,19 @@ class Backend {
   virtual void gemm_bt(long m, long n, long k, float alpha, const float* a,
                        const float* b, float beta, float* c) const = 0;
 
-  // Whether convolution should lower the whole batch into one column matrix
-  // ([in*k*k, N*OH*OW], one GEMM) instead of per-image lowering.
+  // Whether convolution should run the whole batch as one GEMM against the
+  // batch column matrix ([in*k*k, N*OH*OW], conv_gemm below) instead of
+  // per-image lowering.
   virtual bool coalesced_conv() const { return false; }
+
+  // The coalesced conv GEMM: y[out_c, N*OH*OW] = W[out_c, in*k*k] x the
+  // batch column matrix of x [N, in_c, H, W] (kernels/conv.h). The default
+  // (kernels/conv.cpp) materializes the column matrix in arena scratch and
+  // calls gemm() — the explicit-column oracle. Backends override it to pack
+  // GEMM operands straight from x; the blocked one packs exactly the panel
+  // values the explicit matrix would give, so its bits are identical.
+  virtual void conv_gemm(const ConvShape& s, const float* x,
+                         const float* weight, float* y) const;
 
   // ------------------------------------------ compute-on-codes surface ---
   //

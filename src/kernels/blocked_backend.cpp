@@ -10,6 +10,7 @@
 
 #include "core/parallel.h"
 #include "kernels/arena.h"
+#include "kernels/conv.h"
 #include "obs/kernel_stats.h"
 #include "obs/metrics.h"
 
@@ -74,6 +75,69 @@ void pack_b(const float* src, long p_stride, long j_stride, long kc, long nc,
   }
 }
 
+// Packs the [kc x nc] block at rows [pc, pc+kc), columns [jc, jc+nc) of
+// the batch column matrix of x (kernels/conv.h) straight from x, in
+// pack_b's panel layout. Row p = (c, kh, kw), column j = (image, oy, ox);
+// each value is the one im2col_ld would have written (0 in the padding
+// ring), so the GEMM sees exactly the panels of the explicit lowering. A
+// panel's columns run along output rows: each row segment is a (clipped)
+// slice of one input row, copied whole at stride 1.
+void pack_b_conv(const ConvShape& s, const float* x, long pc, long kc,
+                 long jc, long nc, float* __restrict dst) {
+  const long K = s.kernel, oh = s.oh(), ow = s.ow(), sp = oh * ow;
+  const long plane = s.h * s.w, image = s.in_c * plane;
+  for (long j0 = 0; j0 < nc; j0 += kNR) {
+    const long jb = std::min(kNR, nc - j0);
+    const long jstart = jc + j0;
+    const long i0 = jstart / sp, oy0 = (jstart % sp) / ow, ox0 = jstart % ow;
+    long c = pc / (K * K), kh = (pc / K) % K, kw = pc % K;
+    for (long p = 0; p < kc; ++p) {
+      long i = i0, oy = oy0, ox = ox0;
+      for (long j = 0; j < jb;) {
+        const long run = std::min(jb - j, ow - ox);
+        const long iy = oy * s.stride + kh - s.pad;
+        float* d = dst + j;
+        if (iy < 0 || iy >= s.h) {
+          std::fill(d, d + run, 0.0f);
+        } else {
+          const float* row = x + i * image + c * plane + iy * s.w;
+          if (s.stride == 1) {
+            const long x0 = ox + kw - s.pad;  // input column of d[0]
+            const long lo = std::clamp(-x0, 0L, run);
+            const long hi = std::clamp(s.w - x0, lo, run);
+            std::fill(d, d + lo, 0.0f);
+            std::copy(row + x0 + lo, row + x0 + hi, d + lo);
+            std::fill(d + hi, d + run, 0.0f);
+          } else {
+            for (long t = 0; t < run; ++t) {
+              const long ix = (ox + t) * s.stride + kw - s.pad;
+              d[t] = (ix >= 0 && ix < s.w) ? row[ix] : 0.0f;
+            }
+          }
+        }
+        j += run;
+        ox += run;
+        if (ox == ow) {
+          ox = 0;
+          if (++oy == oh) {
+            oy = 0;
+            ++i;
+          }
+        }
+      }
+      std::fill(dst + jb, dst + kNR, 0.0f);
+      dst += kNR;
+      if (++kw == K) {
+        kw = 0;
+        if (++kh == K) {
+          kh = 0;
+          ++c;
+        }
+      }
+    }
+  }
+}
+
 // C[0..mr, 0..nr] += alpha * sum_p ap[p][:] (x) bp[p][:]. The packed panels
 // are zero-padded, so the hot loop always runs the full kMR x kNR tile with
 // compile-time trip counts; only the writeback respects the edges.
@@ -103,11 +167,12 @@ void micro_kernel(long kc, const float* __restrict ap,
 // so no synchronization. Each C element sums its KC blocks in order, and p
 // in order within a block, whatever the tile bounds (they are multiples of
 // kMR / kNR, so an element also keeps its lane in the register tile).
-// Returns the nanoseconds spent packing.
+// pack_b_blk(pc, kc, jc, nc, dst) packs B rows [pc, pc+kc), columns
+// [jc, jc+nc) in pack_b's layout. Returns the nanoseconds spent packing.
+template <typename PackB>
 std::uint64_t gemm_tile(long m0, long m1, long n0, long n1, long k,
                         float alpha, const float* a, long a_is, long a_ps,
-                        const float* b, long b_ps, long b_js, float* c,
-                        long ldc) {
+                        const PackB& pack_b_blk, float* c, long ldc) {
   Arena& arena = tls_arena();
   ArenaScope scope(arena);
   const long nc_cap = std::min(kNC, ((n1 - n0 + kNR - 1) / kNR) * kNR);
@@ -121,7 +186,7 @@ std::uint64_t gemm_tile(long m0, long m1, long n0, long n1, long k,
       // Pack-time attribution: two clock reads per packed panel, far off
       // the micro-kernel's inner loops.
       std::uint64_t t0 = obs::monotonic_ns();
-      pack_b(b + pc * b_ps + jc * b_js, b_ps, b_js, kc, nc, bpack);
+      pack_b_blk(pc, kc, jc, nc, bpack);
       pack_ns += obs::monotonic_ns() - t0;
       for (long ic = m0; ic < m1; ic += kMC) {
         const long mc = std::min(kMC, m1 - ic);
@@ -143,14 +208,12 @@ std::uint64_t gemm_tile(long m0, long m1, long n0, long n1, long k,
   return pack_ns;
 }
 
-}  // namespace
-
-long BlockedBackend::mr() { return kMR; }
-long BlockedBackend::nr() { return kNR; }
-
-void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
-                         long a_is, long a_ps, const float* b, long b_ps,
-                         long b_js, float beta, float* c) const {
+// C[m,n] = alpha * A x B + beta * C over the blocked nest, A(i, p) =
+// a[i*a_is + p*a_ps] and B packed by pack_b_blk (see gemm_tile).
+template <typename PackB>
+void run(obs::KernelStats& kstats, long m, long n, long k, float alpha,
+         const float* a, long a_is, long a_ps, const PackB& pack_b_blk,
+         float beta, float* c) {
   // Same beta semantics as the reference kernels.
   if (beta == 0.0f) {
     std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m * n));
@@ -159,7 +222,6 @@ void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
   }
   if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0f) return;
 
-  obs::KernelStats& kstats = this->kstats();
   kstats.gemm_calls->add(1);
   kstats.gemm_flops->add(2ull * static_cast<unsigned long long>(m) *
                          static_cast<unsigned long long>(n) *
@@ -190,7 +252,7 @@ void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
     const long hi = std::min(extent, lo + step);
     pack_ns.fetch_add(
         gemm_tile(split_n ? 0 : lo, split_n ? m : hi, split_n ? lo : 0,
-                  split_n ? hi : n, k, alpha, a, a_is, a_ps, b, b_ps, b_js, c,
+                  split_n ? hi : n, k, alpha, a, a_is, a_ps, pack_b_blk, c,
                   n),
         std::memory_order_relaxed);
   };
@@ -202,26 +264,50 @@ void BlockedBackend::run(long m, long n, long k, float alpha, const float* a,
   kstats.pack_ns->add(pack_ns.load(std::memory_order_relaxed));
 }
 
+// pack_b_blk over a strided B: B(p, j) = b[p*b_ps + j*b_js].
+auto strided_b(const float* b, long b_ps, long b_js) {
+  return [=](long pc, long kc, long jc, long nc, float* dst) {
+    pack_b(b + pc * b_ps + jc * b_js, b_ps, b_js, kc, nc, dst);
+  };
+}
+
+}  // namespace
+
+long BlockedBackend::mr() { return kMR; }
+long BlockedBackend::nr() { return kNR; }
+
 void BlockedBackend::gemm(long m, long n, long k, float alpha, const float* a,
                           const float* b, float beta, float* c) const {
-  run(m, n, k, alpha, a, /*a_is=*/k, /*a_ps=*/1, b, /*b_ps=*/n, /*b_js=*/1,
-      beta, c);
+  run(kstats(), m, n, k, alpha, a, /*a_is=*/k, /*a_ps=*/1,
+      strided_b(b, /*b_ps=*/n, /*b_js=*/1), beta, c);
 }
 
 void BlockedBackend::gemm_at(long m, long n, long k, float alpha,
                              const float* a, const float* b, float beta,
                              float* c) const {
   // A stored [k,m]: A^T(i,p) = a[p*m + i].
-  run(m, n, k, alpha, a, /*a_is=*/1, /*a_ps=*/m, b, /*b_ps=*/n, /*b_js=*/1,
-      beta, c);
+  run(kstats(), m, n, k, alpha, a, /*a_is=*/1, /*a_ps=*/m,
+      strided_b(b, /*b_ps=*/n, /*b_js=*/1), beta, c);
 }
 
 void BlockedBackend::gemm_bt(long m, long n, long k, float alpha,
                              const float* a, const float* b, float beta,
                              float* c) const {
   // B stored [n,k]: B^T(p,j) = b[j*k + p].
-  run(m, n, k, alpha, a, /*a_is=*/k, /*a_ps=*/1, b, /*b_ps=*/1, /*b_js=*/k,
-      beta, c);
+  run(kstats(), m, n, k, alpha, a, /*a_is=*/k, /*a_ps=*/1,
+      strided_b(b, /*b_ps=*/1, /*b_js=*/k), beta, c);
+}
+
+void BlockedBackend::conv_gemm(const ConvShape& s, const float* x,
+                               const float* weight, float* y) const {
+  // Implicit GEMM: B is the batch column matrix, packed panel by panel
+  // from x by each shard; it is never materialized.
+  const auto pack_x = [&s, x](long pc, long kc, long jc, long nc,
+                              float* dst) {
+    pack_b_conv(s, x, pc, kc, jc, nc, dst);
+  };
+  run(kstats(), s.out_c, s.n * s.spatial(), s.cols_k(), 1.0f, weight,
+      /*a_is=*/s.cols_k(), /*a_ps=*/1, pack_x, 0.0f, y);
 }
 
 }  // namespace ber::kernels

@@ -5,7 +5,8 @@
 // thread-local arena) so the micro-kernel streams both operands linearly
 // and keeps a full MR x NR accumulator block in registers. One packing
 // routine parameterized by source strides serves all three variants
-// (gemm / gemm_at / gemm_bt) — a transpose is just a different stride pair.
+// (gemm / gemm_at / gemm_bt) — a transpose is just a different stride pair;
+// conv_gemm swaps in a B packer that reads the conv input directly.
 //
 // Threading: one core/parallel dispatch per call, over intra_op_threads()
 // shards (one thread on a pool worker or inside a ParallelWorkerScope, and
@@ -37,8 +38,14 @@ class BlockedBackend final : public Backend {
                const float* b, float beta, float* c) const override;
   void gemm_bt(long m, long n, long k, float alpha, const float* a,
                const float* b, float beta, float* c) const override;
-  // One im2col + one GEMM across the whole batch.
+  // One GEMM across the whole batch, with B panels packed straight from x
+  // (implicit GEMM, Chetlur et al. 2014): the padding ring is packed as
+  // zeros exactly as im2col would write it, and pack order and KC blocking
+  // are those of gemm() over the explicit column matrix, so the result is
+  // bit-identical to it without ever building that matrix.
   bool coalesced_conv() const override { return true; }
+  void conv_gemm(const ConvShape& s, const float* x, const float* weight,
+                 float* y) const override;
 
   // int8 compute-on-codes path (kernels/qgemm_blocked.cpp): activations are
   // dynamically quantized to 8-bit symmetric per call, the GEMM accumulates
@@ -66,11 +73,6 @@ class BlockedBackend final : public Backend {
   // can pick shapes that are deliberately not tile multiples.
   static long mr();
   static long nr();
-
- private:
-  void run(long m, long n, long k, float alpha, const float* a, long a_is,
-           long a_ps, const float* b, long b_ps, long b_js, float beta,
-           float* c) const;
 };
 
 }  // namespace ber::kernels

@@ -40,7 +40,15 @@
 #include "obs/kernel_stats.h"
 
 #if defined(__AVX512F__) && defined(__AVX512VNNI__)
+// GCC 12 reports "'__Y' may be used uninitialized" inside the AVX-512
+// intrinsics it inlines here (masked loads and reductions; a false
+// positive, https://gcc.gnu.org/bugzilla/show_bug.cgi?id=105593). The
+// warning is located in the intrinsic headers, so it is silenced for those
+// headers only; this file's own code keeps it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #define BER_QGEMM_VNNI 1
 #endif
 

@@ -84,6 +84,9 @@ Tensor Flatten::forward(const Tensor& x, bool training) {
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {
+  if (in_shape_.empty()) {
+    throw std::logic_error("Flatten::backward: no cached forward pass");
+  }
   return grad_out.reshaped(in_shape_);
 }
 

@@ -19,7 +19,7 @@ class ReLU : public Layer {
   double last_active_fraction() const { return last_active_fraction_; }
 
  private:
-  Tensor mask_;  // 1 where x > 0
+  BackwardCache<Tensor> mask_;  // 1 where x > 0
   double last_active_fraction_ = 0.0;
 };
 
@@ -34,7 +34,7 @@ class Flatten : public Layer {
   }
 
  private:
-  std::vector<long> in_shape_;
+  BackwardCache<std::vector<long>> in_shape_;
 };
 
 }  // namespace ber

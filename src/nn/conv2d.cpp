@@ -41,28 +41,13 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   const kernels::ConvShape s{x.shape(0), in_channels_, x.shape(2), x.shape(3),
                              out_channels_, kernel_,   stride_,    pad_};
   Tensor out({s.n, out_channels_, s.oh(), s.ow()});
-  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
+  kernels::conv2d_forward(bk, s, x.data(), weight_.value.data(),
+                          has_bias_ ? bias_.value.data() : nullptr,
+                          out.data());
   if (training) {
-    // Retain the column matrix for backward; reuse the previous step's
-    // allocation when the shape (and lowering layout) is unchanged.
-    const std::vector<long> want =
-        bk.coalesced_conv()
-            ? std::vector<long>{s.cols_k(), s.n * s.spatial()}
-            : std::vector<long>{s.n, s.cols_k(), s.spatial()};
-    if (cols_.shape() != want) cols_ = Tensor(want);
-    kernels::conv2d_forward(bk, s, x.data(), weight_.value.data(), bias,
-                            out.data(), &cols_);
     input_ = x;
-  } else {
-    // Inference: the column matrix lives in the thread-local arena, and any
-    // stale training caches (e.g. copied in when a trained model was cloned
-    // for an evaluation sweep or a serving replica) are released.
-    kernels::conv2d_forward(bk, s, x.data(), weight_.value.data(), bias,
-                            out.data(), nullptr);
-    if (input_.numel() != 0 || cols_.numel() != 0) {
-      input_ = Tensor();
-      cols_ = Tensor();
-    }
+  } else if (input_.numel() != 0) {
+    input_ = Tensor();  // a stale cache from the last training forward
   }
   return out;
 }
@@ -71,15 +56,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   if (input_.dim() != 4) {
     throw std::logic_error("Conv2d::backward: no cached forward pass");
   }
-  // conv2d_backward infers the cached lowering from cols_'s rank, so it is
-  // safe (and numerically fine) if the current backend changed since
-  // forward — no pointer to a possibly-dead backend is retained.
   const kernels::Backend& bk = kernels::current_backend();
   const kernels::ConvShape s{input_.shape(0), in_channels_,  input_.shape(2),
                              input_.shape(3), out_channels_, kernel_,
                              stride_,         pad_};
   Tensor grad_in(input_.shape());
-  kernels::conv2d_backward(bk, s, cols_, grad_out.data(),
+  kernels::conv2d_backward(bk, s, input_.data(), grad_out.data(),
                            weight_.value.data(), weight_.grad.data(),
                            has_bias_ ? bias_.grad.data() : nullptr,
                            grad_in.data());
@@ -115,10 +97,7 @@ Tensor Conv2d::forward_on_codes(const Tensor& x, bool fuse_relu) {
   kernels::QEpilogue ep{has_bias_ ? bias_.value.data() : nullptr, fuse_relu};
   kernels::conv2d_forward_quant(bk, s, x.data(), wcodes_->view(), ep,
                                 out.data());
-  if (input_.numel() != 0 || cols_.numel() != 0) {  // as the float path
-    input_ = Tensor();
-    cols_ = Tensor();
-  }
+  if (input_.numel() != 0) input_ = Tensor();  // as the float path
   return out;
 }
 

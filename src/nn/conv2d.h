@@ -1,6 +1,6 @@
 // 2-D convolution lowered through the compute backend (kernels/conv.h):
-// per-image im2col + GEMM on the reference backend, batch-coalesced
-// (one column matrix + one GEMM for the whole batch) on the blocked one.
+// per-image im2col + GEMM on the reference backend, one batch-wide implicit
+// GEMM (panels packed straight from the input) on the blocked one.
 #pragma once
 
 #include <optional>
@@ -38,12 +38,12 @@ class Conv2d : public Layer, public CodeComputeLayer {
   long out_channels() const { return out_channels_; }
   long kernel() const { return kernel_; }
 
-  // Bytes held by the backward caches (input + column matrix). Inference
-  // forwards release them — evaluation sweeps and serving replicas must not
-  // pin O(N*C*k^2*OH*OW) per layer; tested in test_kernels.cpp.
+  // Bytes held by the backward cache (the input). Inference forwards
+  // release it and clones start without it — evaluation sweeps and serving
+  // replicas must not pin a batch of activations per layer; tested in
+  // test_kernels.cpp.
   long cached_bytes() const {
-    return static_cast<long>(sizeof(float)) *
-           (input_.numel() + cols_.numel());
+    return static_cast<long>(sizeof(float)) * input_.numel();
   }
 
  private:
@@ -51,12 +51,10 @@ class Conv2d : public Layer, public CodeComputeLayer {
   bool has_bias_;
   Param weight_;  // [out, in, k, k]
   Param bias_;    // [out]
-  // Cached for backward (training mode only). cols_ layout depends on the
-  // backend that ran forward — [N, in*k*k, OH*OW] per-image, [in*k*k,
-  // N*OH*OW] coalesced — and backward infers the lowering from the rank,
-  // so forward and backward may legally run under different backends.
-  Tensor input_;
-  Tensor cols_;
+  // Cached for backward (training mode only); backward re-lowers its
+  // columns from it, so forward and backward may run under different
+  // backends.
+  BackwardCache<Tensor> input_;
   // Weight code store when compute-on-codes is active (deep-copied by
   // clone(), so replicas patch independent codes).
   std::optional<QuantWeightStore> wcodes_;

@@ -24,6 +24,24 @@ struct Param {
   Tensor grad;
 };
 
+// A backward cache member (the input, mask or statistics a training
+// forward keeps for backward). Copying the owning layer leaves the copy's
+// cache empty, so clone() never carries a trained model's stale activations
+// into evaluator workers or serving replicas; backward on such a copy
+// reports that no forward pass is cached.
+template <typename T>
+struct BackwardCache : T {
+  BackwardCache() = default;
+  BackwardCache(const BackwardCache&) : T() {}
+  BackwardCache(BackwardCache&&) noexcept = default;
+  BackwardCache& operator=(const BackwardCache&) {
+    static_cast<T&>(*this) = T();
+    return *this;
+  }
+  BackwardCache& operator=(BackwardCache&&) noexcept = default;
+  using T::operator=;
+};
+
 class Layer {
  public:
   virtual ~Layer() = default;

@@ -51,6 +51,9 @@ Tensor Linear::forward(const Tensor& x, bool training) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
+  if (input_.dim() != 2) {
+    throw std::logic_error("Linear::backward: no cached forward pass");
+  }
   const long n = input_.shape(0);
   const kernels::Backend& bk = kernels::current_backend();
   // dW [out, in] += gO^T [out, n] x X [n, in]

@@ -33,7 +33,8 @@ class Linear : public Layer, public CodeComputeLayer {
   long in_features() const { return in_features_; }
   long out_features() const { return out_features_; }
 
-  // Bytes held by the backward cache; inference forwards release it.
+  // Bytes held by the backward cache; inference forwards release it and
+  // clones start without it.
   long cached_bytes() const {
     return static_cast<long>(sizeof(float)) * input_.numel();
   }
@@ -43,7 +44,7 @@ class Linear : public Layer, public CodeComputeLayer {
   bool has_bias_;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
-  Tensor input_;  // cached for backward
+  BackwardCache<Tensor> input_;  // cached for backward
   // Weight code store when compute-on-codes is active (deep-copied by
   // clone(), so replicas patch independent codes).
   std::optional<QuantWeightStore> wcodes_;

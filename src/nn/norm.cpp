@@ -220,6 +220,9 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
+  if (xhat_.dim() != 4) {
+    throw std::logic_error("BatchNorm2d::backward: no cached forward pass");
+  }
   const long n = grad_out.shape(0), c = channels_,
              spatial = grad_out.shape(2) * grad_out.shape(3);
   const long m = n * spatial;

@@ -33,8 +33,8 @@ class GroupNorm : public Layer {
   Param scale_;  // alpha' (effective gamma = 1 + alpha')
   Param bias_;
   // Backward caches.
-  Tensor xhat_;
-  Tensor inv_std_;  // [N, groups]
+  BackwardCache<Tensor> xhat_;
+  BackwardCache<Tensor> inv_std_;  // [N, groups]
 };
 
 class BatchNorm2d : public Layer {
@@ -64,8 +64,8 @@ class BatchNorm2d : public Layer {
   Param scale_;  // alpha' (effective gamma = 1 + alpha')
   Param bias_;
   Tensor running_mean_, running_var_;
-  Tensor xhat_;
-  Tensor inv_std_;  // [channels]
+  BackwardCache<Tensor> xhat_;
+  BackwardCache<Tensor> inv_std_;  // [channels]
 };
 
 }  // namespace ber

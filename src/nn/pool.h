@@ -19,8 +19,8 @@ class MaxPool2d : public Layer {
 
  private:
   long kernel_;
-  std::vector<long> in_shape_;
-  std::vector<long> argmax_;  // flat input index of each output element
+  BackwardCache<std::vector<long>> in_shape_;
+  BackwardCache<std::vector<long>> argmax_;  // flat input index per output
 };
 
 // Global average pooling: [N,C,H,W] -> [N,C].
@@ -34,7 +34,7 @@ class GlobalAvgPool : public Layer {
   }
 
  private:
-  std::vector<long> in_shape_;
+  BackwardCache<std::vector<long>> in_shape_;
 };
 
 }  // namespace ber

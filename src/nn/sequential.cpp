@@ -1,6 +1,7 @@
 #include "nn/sequential.h"
 
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,6 +22,35 @@ struct ArenaTensorRegion {
 
 }  // namespace
 
+// Alternates the outermost inference loop between the arena's two regions.
+// next() runs before each executed layer: it rewinds the region that holds
+// the output of two layers back (dead: the previous layer already consumed
+// it) and makes that region current, so the layer's output and scratch
+// reuse its bytes while the input, in the other region, stays intact.
+// Destruction rewinds both regions to their state at construction and
+// restores the region that was current then.
+class Sequential::ArenaPingPong {
+ public:
+  explicit ArenaPingPong(kernels::Arena& arena)
+      : arena_(arena), entry_(arena.region()) {}
+  ~ArenaPingPong() {
+    for (auto& s : slot_) s.reset();
+    arena_.set_region(entry_);
+  }
+  void next() {
+    const int r = entry_ ^ static_cast<int>(step_++ & 1);
+    slot_[r].reset();
+    arena_.set_region(r);
+    slot_[r].emplace(arena_);
+  }
+
+ private:
+  kernels::Arena& arena_;
+  const int entry_;
+  unsigned step_ = 0;
+  std::optional<kernels::ArenaScope> slot_[kernels::Arena::kRegions];
+};
+
 Sequential::Sequential(const Sequential& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
@@ -37,22 +67,26 @@ Sequential& Sequential::operator=(const Sequential& other) {
 Tensor Sequential::forward(const Tensor& x, bool training) {
   if (!training && !arena_tensors_enabled()) {
     // Outermost inference forward: run every intermediate activation (and
-    // the layers' im2col/GEMM scratch beneath them) out of the thread
-    // arena. Once the arena's capacity has converged, repeated forwards
+    // the layers' GEMM scratch beneath them) out of the thread arena,
+    // ping-ponging between its two regions so at most two activations are
+    // live. Once the arena's capacity has converged, repeated forwards
     // perform no heap allocation; only the network output is copied back
     // to the heap. Nested containers (inner Sequentials, Residual bodies)
-    // see the toggle already on and just run their layer loop.
+    // see the toggle already on and bump inside their layer's region, so
+    // a skip input in the other region survives the body.
     kernels::Arena& arena = kernels::tls_arena();
     const std::size_t used_before = arena.used();
+    arena.reset_peak();
     Tensor result;
     {
       kernels::ArenaScope scope(arena);
+      ArenaPingPong slots(arena);
       Tensor cur;
       {
         ArenaTensorRegion region;
-        cur = run_layers(x, false);
+        cur = run_layers(x, false, nullptr, &slots);
         last_forward_arena_bytes_ =
-            (arena.used() - used_before) * sizeof(float);
+            (arena.peak() - used_before) * sizeof(float);
       }
       result = cur;  // toggle is off again: deep copy to the heap
     }
@@ -62,23 +96,29 @@ Tensor Sequential::forward(const Tensor& x, bool training) {
 }
 
 Tensor Sequential::run_layers(const Tensor& x, bool training,
-                              const ActivationObserver* observer) {
-  Tensor cur = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+                              const ActivationObserver* observer,
+                              ArenaPingPong* slots) {
+  if (layers_.empty()) return x;
+  // `in` aliases x until the first layer has run: copying x would put a
+  // third activation in the arena.
+  const Tensor* in = &x;
+  Tensor cur;
+  for (std::size_t i = 0; i < layers_.size(); ++i, in = &cur) {
     Layer* l = layers_[i].get();
+    if (slots != nullptr) slots->next();
     if (!training) {
       auto* cc = dynamic_cast<CodeComputeLayer*>(l);
       if (cc != nullptr && cc->code_compute_active()) {
         const bool fuse_relu =
             i + 1 < layers_.size() &&
             dynamic_cast<ReLU*>(layers_[i + 1].get()) != nullptr;
-        cur = cc->forward_on_codes(cur, fuse_relu);
+        cur = cc->forward_on_codes(*in, fuse_relu);
         if (observer != nullptr) (*observer)(i, *l, cur);
         if (fuse_relu) ++i;  // the epilogue already applied the ReLU
         continue;
       }
     }
-    cur = l->forward(cur, training);
+    cur = l->forward(*in, training);
     if (observer != nullptr) (*observer)(i, *l, cur);
   }
   return cur;

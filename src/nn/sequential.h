@@ -53,13 +53,16 @@ class Sequential : public Layer {
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
-  // Bytes of thread-local arena scratch (intermediate activations + im2col
-  // / GEMM packing) consumed by the most recent outermost inference
-  // forward on this model. Inference forwards bracket the layer loop in an
-  // arena-tensor region (tensor/tensor.h), so this is also the proof knob
-  // for "no heap allocation in steady-state eval": the arena converges to
-  // a fixed capacity and this value stays constant across calls (tested in
-  // tests/test_kernels.cpp).
+  // Peak bytes of thread-local arena scratch (intermediate activations +
+  // GEMM packing / column scratch), summed over both arena regions, during
+  // the most recent outermost inference forward on this model. Inference
+  // forwards bracket the layer loop in an arena-tensor region
+  // (tensor/tensor.h), so this is also the proof knob for "no heap
+  // allocation in steady-state eval": the arena converges to a fixed
+  // capacity and this value stays constant across calls. Activation
+  // lifetime: layer i's output lives until layer i+1 has consumed it, so
+  // the peak is at most the two largest activations plus the largest
+  // layer's own scratch (tested in tests/test_int8.cpp).
   std::size_t last_forward_arena_bytes() const {
     return last_forward_arena_bytes_;
   }
@@ -89,8 +92,12 @@ class Sequential : public Layer {
   // ReLU, the activation is folded into the kernel epilogue and the ReLU
   // layer is skipped (its last_active_fraction() is then not refreshed).
   // A non-null observer sees every executed layer's output.
+  // With `slots`, each executed layer runs in the arena region that held
+  // the output of two layers back (the outermost inference forward).
+  class ArenaPingPong;
   Tensor run_layers(const Tensor& x, bool training,
-                    const ActivationObserver* observer = nullptr);
+                    const ActivationObserver* observer = nullptr,
+                    ArenaPingPong* slots = nullptr);
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::size_t last_forward_arena_bytes_ = 0;

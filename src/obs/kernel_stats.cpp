@@ -31,7 +31,7 @@ KernelStats& kernel_stats(const std::string& backend) {
   return ref;
 }
 
-void note_arena_capacity(std::size_t bytes) {
+void note_arena_in_use(std::size_t bytes) {
   static Gauge& hwm = registry().gauge("kernels.arena_hwm_bytes");
   hwm.set_max(static_cast<double>(bytes));
 }

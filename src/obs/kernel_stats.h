@@ -11,13 +11,19 @@
 //   kernels.gemm_calls / kernels.gemm_flops      float GEMM (2*m*n*k)
 //   kernels.conv_calls / kernels.conv_images     conv forward lowerings
 //   kernels.im2col_bytes                         column-matrix bytes built
+//                                                (explicit lowerings only:
+//                                                the blocked forward packs
+//                                                from x and builds none)
 //   kernels.qgemm_calls / kernels.qgemm_flops    quantized GEMM on codes
 //                                                (a qconv adds its FLOPs,
 //                                                2*OC*IC*k^2*N*OH*OW)
 //   kernels.qconv_calls / kernels.qconv_images   quantized conv forward
 //   kernels.pack_ns                              A/B panel packing time
-// plus the unlabeled gauge kernels.arena_hwm_bytes — the largest per-thread
-// scratch arena capacity seen anywhere in the process.
+// plus the unlabeled gauge kernels.arena_hwm_bytes — the largest peak of
+// scratch arena bytes in use (both regions of one thread's arena, see
+// kernels/arena.h) seen anywhere in the process. In-use bytes, not reserved
+// capacity: arena chunks are uncommitted until written, so capacity no
+// longer tracks resident memory.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +50,8 @@ struct KernelStats {
 // The returned reference lives for the process.
 KernelStats& kernel_stats(const std::string& backend);
 
-// Reports a thread arena's capacity after growth; keeps the global
+// Reports a new peak of a thread arena's bytes in use; keeps the global
 // kernels.arena_hwm_bytes gauge at the max seen.
-void note_arena_capacity(std::size_t bytes);
+void note_arena_in_use(std::size_t bytes);
 
 }  // namespace ber::obs

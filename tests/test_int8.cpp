@@ -7,6 +7,7 @@
 // evaluator's compute-on-codes mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -498,6 +499,66 @@ TEST(ArenaActivations, TrainingForwardStaysOnHeap) {
   model->forward(x, true);  // training: no arena accounting
   EXPECT_EQ(model->last_forward_arena_bytes(), inference_bytes)
       << "training forward must not touch the inference arena meter";
+}
+
+// The ping-pong bound: layer i writes its output and scratch over the
+// output of layer i-2, so the forward's peak is at most the two largest
+// activations plus the largest single layer's scratch — not the sum of all
+// activations, as when every intermediate stayed live.
+TEST(ArenaActivations, InferencePeakIsTwoActivationsPlusLargestScratch) {
+  Rng rng(153);
+  ModelConfig mc;
+  mc.width = 8;
+  mc.image_size = 16;
+  auto model = build_model(mc);
+  he_init(*model, rng);
+  const Tensor x = Tensor::randn({4, 3, 16, 16}, rng);
+  for (const char* backend : {"reference", "blocked"}) {
+    kernels::ScopedBackend g(backend);
+    model->forward(x, false);
+    const std::size_t peak = model->last_forward_arena_bytes();
+
+    // Each layer alone, in a one-layer model: its arena peak is its output
+    // plus its own scratch.
+    std::vector<std::size_t> act;
+    std::size_t scratch = 0;
+    Tensor cur = x;
+    for (std::size_t i = 0; i < model->size(); ++i) {
+      Sequential one;
+      one.add(model->layer(i).clone());
+      Tensor out = one.forward(cur, false);
+      const std::size_t out_bytes = out.numel() * sizeof(float);
+      act.push_back(out_bytes);
+      scratch = std::max(scratch, one.last_forward_arena_bytes() - out_bytes);
+      cur = std::move(out);
+    }
+    std::sort(act.rbegin(), act.rend());
+    ASSERT_GE(act.size(), 3u);
+    EXPECT_LE(peak, act[0] + act[1] + scratch) << backend;
+  }
+}
+
+// A Residual block bumps inside its layer's region while its skip input sits
+// in the other one, so the ping-pong must not clobber it: the arena forward
+// matches forward_observed, which runs every layer on the heap.
+TEST(ArenaActivations, ResNetForwardMatchesObservedForward) {
+  Rng rng(154);
+  ModelConfig mc;
+  mc.arch = Arch::kResNetSmall;
+  mc.width = 4;
+  auto model = build_model(mc);
+  he_init(*model, rng);
+  const Tensor x = Tensor::randn({3, 3, 12, 12}, rng);
+  for (const char* backend : {"reference", "blocked"}) {
+    kernels::ScopedBackend g(backend);
+    const Tensor y = model->forward(x, false);
+    const Tensor y_obs = model->forward_observed(
+        x, [](std::size_t, const Layer&, const Tensor&) {});
+    ASSERT_EQ(y.shape(), y_obs.shape());
+    for (long i = 0; i < y.numel(); ++i) {
+      ASSERT_EQ(y[i], y_obs[i]) << backend << " at " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------- delta redeploys ---

@@ -2,8 +2,9 @@
 // selection, scratch arena reuse, blocked-vs-reference GEMM parity on
 // odd/edge shapes, threaded-GEMM determinism (square and skinny training
 // shapes) and warm worker arenas, batch-coalesced convolution
-// parity (forward and backward), per-model backend preferences, and the
-// inference-mode backward-cache release.
+// parity (forward and backward), the implicit-GEMM conv's bit identity with
+// the explicit column lowering, per-model backend preferences, and the
+// inference-mode / clone backward-cache release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -503,6 +504,121 @@ TEST(CoalescedConv, GradcheckUnderBlockedBackend) {
   test::gradcheck_layer(conv, x);
 }
 
+// ----------------------------------------------------- implicit GEMM conv ---
+
+// The blocked GEMMs behind the default Backend::conv_gemm, which builds the
+// batch column matrix explicitly: the named oracle for the blocked
+// backend's implicit lowering, which packs the same panels straight from x.
+class ExplicitColumnsBlocked final : public Backend {
+ public:
+  std::string name() const override { return "blocked_explicit_columns"; }
+  void gemm(long m, long n, long k, float alpha, const float* a,
+            const float* b, float beta, float* c) const override {
+    blocked_.gemm(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_at(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    blocked_.gemm_at(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_bt(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    blocked_.gemm_bt(m, n, k, alpha, a, b, beta, c);
+  }
+  bool coalesced_conv() const override { return true; }
+
+ private:
+  BlockedBackend blocked_;
+};
+
+// Stride 1 and 2; pad 0, 1 and 2; N = 1; C*k*k above the 256-deep KC block
+// (several K blocks); a batch wide enough to shard over column bands and to
+// span several NC blocks. Every N*OH*OW is odd, so never a multiple of the
+// register tile's nr().
+const std::vector<ConvCase>& implicit_conv_cases() {
+  static const std::vector<ConvCase> cases{
+      {1, 3, 11, 11, 8, 3, 1, 1, true},    // N = 1
+      {3, 4, 11, 11, 5, 3, 2, 0, true},    // stride 2, pad 0
+      {3, 3, 10, 13, 6, 3, 2, 1, false},   // stride 2, pad 1, non-square
+      {1, 2, 8, 8, 3, 3, 2, 2, true},      // stride 2, pad 2
+      {3, 5, 9, 9, 7, 5, 1, 2, true},      // 5x5, pad 2
+      {3, 64, 7, 7, 9, 3, 1, 1, true},     // C*k*k = 576: three KC blocks
+      {5, 16, 31, 31, 16, 3, 1, 1, true},  // N*OH*OW = 4805: sharded
+  };
+  return cases;
+}
+
+TEST(ImplicitConv, ForwardAndBackwardBitIdenticalToExplicitColumns) {
+  const ExplicitColumnsBlocked explicit_cols;
+  for (const auto& c : implicit_conv_cases()) {
+    const long ohw = conv_out_size(c.h, c.kernel, c.stride, c.pad) *
+                     conv_out_size(c.w, c.kernel, c.stride, c.pad);
+    ASSERT_NE(c.n * ohw % BlockedBackend::nr(), 0);
+    Rng rng(29);
+    const Conv2d base = make_conv(c, rng);
+    const Tensor x = Tensor::randn({c.n, c.in_c, c.h, c.w}, rng);
+    const Tensor go = Tensor::uniform(
+        {c.n, c.out_c, conv_out_size(c.h, c.kernel, c.stride, c.pad),
+         conv_out_size(c.w, c.kernel, c.stride, c.pad)},
+        rng, -1.0f, 1.0f);
+    struct Step {
+      Tensor y, gin;
+      std::vector<Tensor> grads;
+    };
+    const auto step = [&](const Backend& bk, const char* threads) {
+      const test::ScopedThreadsEnv scoped(threads);
+      const kernels::ScopedBackend guard(bk);
+      Conv2d conv = base;
+      Step r;
+      r.y = conv.forward(x, /*training=*/true);
+      r.gin = conv.backward(go);
+      for (Param* p : conv.params()) r.grads.push_back(p->grad);
+      // The inference forward takes the same lowering.
+      const Tensor yi = conv.forward(x, /*training=*/false);
+      for (long i = 0; i < yi.numel(); ++i) EXPECT_EQ(yi[i], r.y[i]);
+      return r;
+    };
+    const auto same = [](const Tensor& a, const Tensor& b) {
+      if (a.shape() != b.shape()) return false;
+      for (long i = 0; i < a.numel(); ++i) {
+        if (a[i] != b[i]) return false;
+      }
+      return true;
+    };
+    const Step oracle = step(explicit_cols, "1");
+    for (const char* threads : {"1", "3", "4"}) {
+      const Step got = step(kernels::backend("blocked"), threads);
+      const std::string where = "N=" + std::to_string(c.n) + " C=" +
+                                std::to_string(c.in_c) + " stride=" +
+                                std::to_string(c.stride) + " pad=" +
+                                std::to_string(c.pad) + " threads=" + threads;
+      EXPECT_TRUE(same(got.y, oracle.y)) << "forward, " << where;
+      EXPECT_TRUE(same(got.gin, oracle.gin)) << "grad_in, " << where;
+      for (std::size_t i = 0; i < oracle.grads.size(); ++i) {
+        EXPECT_TRUE(same(got.grads[i], oracle.grads[i]))
+            << "param grad " << i << ", " << where;
+      }
+    }
+  }
+}
+
+TEST(ImplicitConv, BlockedForwardBuildsNoColumnMatrix) {
+  const ConvCase c{4, 8, 12, 12, 6, 3, 1, 1, true};
+  Rng rng(30);
+  Conv2d conv = make_conv(c, rng);
+  const Tensor x = Tensor::randn({c.n, c.in_c, c.h, c.w}, rng);
+  const Backend& blocked = kernels::backend("blocked");
+  const kernels::ScopedBackend guard(blocked);
+  const auto before = blocked.kstats().im2col_bytes->value();
+  conv.forward(x, /*training=*/false);
+  conv.forward(x, /*training=*/true);
+  EXPECT_EQ(blocked.kstats().im2col_bytes->value(), before);
+  // Backward re-lowers the cached input once, in scoped scratch.
+  conv.backward(Tensor::uniform({c.n, c.out_c, c.h, c.w}, rng, -1.0f, 1.0f));
+  EXPECT_EQ(blocked.kstats().im2col_bytes->value() - before,
+            static_cast<unsigned long long>(c.in_c * 9 * c.n * c.h * c.w *
+                                            sizeof(float)));
+}
+
 // ------------------------------------------- model-level integration ---
 
 TEST(BackendIntegration, EvaluatorMatchesAcrossBackendsWithinTolerance) {
@@ -550,12 +666,15 @@ TEST(InferenceCaches, ConvAndLinearReleaseBackwardCaches) {
   EXPECT_GT(conv.cached_bytes(), 0);
   EXPECT_GT(linear.cached_bytes(), 0);
 
-  // Cloning a just-trained layer copies the caches — the serving/eval
-  // scenario from the issue: the first inference forward must drop them.
+  // Cloning a just-trained layer copies no backward cache (evaluator
+  // workers and serving replicas never carry stale activations), and
+  // backward on the clone reports the missing forward.
   Conv2d conv_clone = conv;
-  EXPECT_GT(conv_clone.cached_bytes(), 0);
-  conv_clone.forward(x, false);
+  Linear linear_clone = linear;
   EXPECT_EQ(conv_clone.cached_bytes(), 0);
+  EXPECT_EQ(linear_clone.cached_bytes(), 0);
+  EXPECT_THROW(conv_clone.backward(Tensor({6, 8, 8, 8})), std::logic_error);
+  EXPECT_THROW(linear_clone.backward(Tensor({6, 5})), std::logic_error);
 
   conv.forward(x, false);
   linear.forward(xl, false);

@@ -2,6 +2,9 @@
 // inventory equivalents).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/rng.h"
 #include "models/factory.h"
 #include "nn/init.h"
@@ -17,6 +20,30 @@ TEST(Models, SimpleNetForwardShape) {
   he_init(*model, rng);
   Tensor y = model->forward(Tensor::randn({2, 3, 12, 12}, rng), false);
   EXPECT_EQ(y.shape(), (std::vector<long>{2, 10}));
+}
+
+// A clone carries no backward cache: backward on it reports the missing
+// forward pass, while its inference output equals the original's.
+TEST(Models, CloneAfterTrainingForwardDropsBackwardCaches) {
+  ModelConfig mc;
+  auto model = build_model(mc);
+  Rng rng(3);
+  he_init(*model, rng);
+  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
+  const Tensor y_train = model->forward(x, true);
+  Sequential clone(*model);
+  try {
+    clone.backward(Tensor::full(y_train.shape(), 0.1f));
+    ADD_FAILURE() << "backward on a clone must throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no cached forward pass"),
+              std::string::npos)
+        << e.what();
+  }
+  const Tensor y = model->forward(x, false);
+  const Tensor y_clone = clone.forward(x, false);
+  ASSERT_EQ(y.shape(), y_clone.shape());
+  for (long i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], y_clone[i]);
 }
 
 TEST(Models, SimpleNetRejectsBadImageSize) {

@@ -349,13 +349,21 @@ TEST(ObsKernels, QuantizedConvCountsItsFlopsOnEveryBackend) {
   }
 }
 
-TEST(ObsKernels, ArenaHighWaterGaugeTracksCapacity) {
-  obs::note_arena_capacity(1000);
+TEST(ObsKernels, ArenaHighWaterGaugeTracksPeakInUse) {
+  obs::note_arena_in_use(1000);
   obs::Gauge& g = obs::registry().gauge("kernels.arena_hwm_bytes");
   const double before = g.value();
   EXPECT_GE(before, 1000.0);
-  obs::note_arena_capacity(10);  // smaller: high-water must not regress
+  obs::note_arena_in_use(10);  // smaller: high-water must not regress
   EXPECT_DOUBLE_EQ(g.value(), before);
+
+  // An arena reports bytes in use summed over both regions, not capacity.
+  kernels::Arena arena;
+  const std::size_t n = std::size_t{1} << 20;
+  arena.alloc(n);
+  arena.set_region(1);
+  arena.alloc(n);
+  EXPECT_GE(g.value(), static_cast<double>(2 * n * sizeof(float)));
 }
 
 // ------------------------------------------------------- SLO primitives ---
