@@ -6,9 +6,9 @@
 namespace ber::bench {
 
 void banner(const std::string& paper_ref, const std::string& what) {
-  // Determinism guard: paper benches pin the reference backend so a
-  // BER_BACKEND override (or a future default flip) can never let blocked-
-  // kernel FP reassociation silently shift published numbers.
+  // Determinism guard: paper benches pin the reference backend so a future
+  // default flip can never let blocked-kernel FP reassociation silently
+  // shift published numbers.
   kernels::set_default_backend("reference");
   std::printf("=== %s — %s ===\n", paper_ref.c_str(), what.c_str());
   std::printf(

@@ -182,9 +182,7 @@ Report Runner::run_robustness() {
       evaluator.emplace(*rm.model);
     } else {
       evaluator.emplace(*rm.model, rm.scheme);
-      // Spec opt-in only adds to the environment default (set via the
-      // evaluator's own member initializer) — it never forces it off.
-      if (spec_.compute_on_codes) evaluator->set_compute_on_codes(true);
+      evaluator->set_compute_on_codes(spec_.compute_on_codes);
     }
     FaultContext ctx;
     ctx.model = rm.model;
@@ -290,7 +288,7 @@ Report Runner::run_serve() {
   s.slo.z = sv.slo.z;
 
   OperatingPointPlanner planner(*rm.model, rm.scheme);
-  if (spec_.compute_on_codes) planner.set_compute_on_codes(true);
+  planner.set_compute_on_codes(spec_.compute_on_codes);
   FaultContext ctx;
   ctx.model = rm.model;
   ctx.scheme = &rm.scheme;

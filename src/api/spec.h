@@ -136,8 +136,8 @@ struct ExperimentSpec {
   std::string backend = "reference";
   // Compute-on-codes inference for code-space deploys: weight layers adopt
   // the (faulted) quantized code words and forwards run the backend's int8
-  // qgemm over them instead of dequantize-then-float. When false, the
-  // BER_COMPUTE_ON_CODES environment toggle still applies at run time.
+  // qgemm over them instead of dequantize-then-float. The spec decides in
+  // both directions: false runs float evaluation of the dequantized weights.
   bool compute_on_codes = false;
   std::vector<ModelEntry> models;
   FaultSection fault;

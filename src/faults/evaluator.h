@@ -80,8 +80,8 @@ class RobustnessEvaluator {
   // Compute-on-codes deployment for code-space trials: weight layers adopt
   // the faulted code words (nn/code_compute.h) and inference runs the
   // backend's int8 qgemm over them instead of dequantize-then-float. Only
-  // affects kQuantizedCodes fault models; defaults to the
-  // BER_COMPUTE_ON_CODES environment toggle.
+  // affects kQuantizedCodes fault models; defaults to off (float
+  // evaluation of the dequantized weights).
   void set_compute_on_codes(bool on) { on_codes_ = on; }
   bool compute_on_codes() const { return on_codes_; }
 
@@ -125,7 +125,7 @@ class RobustnessEvaluator {
   Sequential& model_;
   NetSnapshot base_snap_;
   bool quantizing_ = false;
-  bool on_codes_ = compute_on_codes_default();
+  bool on_codes_ = false;
   obs::ForensicsCollector* forensics_ = nullptr;
   const char* forensics_profile_ = "eval";
 };

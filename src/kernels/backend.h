@@ -1,7 +1,7 @@
 // Pluggable compute backends: the GEMM (and conv-lowering policy) behind
 // every forward/backward pass in the library.
 //
-// Two built-ins are always registered:
+// Two built-ins:
 //   reference — the original tensor/ops.h loops, kept bit-exact with the
 //               seed implementation. Paper benches and fixed-seed artifacts
 //               pin this backend so published numbers never shift.
@@ -10,12 +10,13 @@
 //               different floating-point summation order (documented
 //               tolerance: ~1e-4 relative vs reference).
 //
+// The caller names the backend; no environment variable picks it.
 // Selection, from lowest to highest precedence:
-//   1. process-wide default: "reference", overridable once at startup via
-//      the BER_BACKEND environment variable or set_default_backend();
+//   1. process-wide default: "reference", replaceable with
+//      set_default_backend();
 //   2. per-call/thread override: ScopedBackend (RAII, nestable) — this is
-//      how the evaluator / serving workers propagate their caller's choice
-//      onto pool threads.
+//      how a spec's backend scopes a run, and how the evaluator / serving
+//      workers propagate their caller's choice onto pool threads.
 #pragma once
 
 #include <atomic>
@@ -111,17 +112,17 @@ class Backend {
 
 // ------------------------------------------------------------- registry ---
 
-// Looks up a registered backend by name; throws std::invalid_argument with
+// Looks up a built-in backend by name; throws std::invalid_argument with
 // the known names on a miss. Returned reference lives for the process.
 const Backend& backend(const std::string& name);
 
-// Registered names, sorted.
+// Built-in names, sorted.
 std::vector<std::string> backend_names();
 
 // ------------------------------------------- default + per-call override ---
 
-// The process-wide default. First use latches BER_BACKEND from the
-// environment (unknown values throw); falls back to "reference".
+// The process-wide default: "reference" unless set_default_backend() named
+// another.
 const Backend& default_backend();
 
 // Replaces the process-wide default (e.g. paper benches pinning
@@ -144,11 +145,5 @@ class ScopedBackend {
  private:
   const Backend* prev_;
 };
-
-namespace detail {
-// Re-reads BER_BACKEND and resets the latched process default — tests only
-// (the normal path latches the environment once, before any threads race).
-void refresh_default_from_env();
-}  // namespace detail
 
 }  // namespace ber::kernels

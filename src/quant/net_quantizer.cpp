@@ -1,7 +1,5 @@
 #include "quant/net_quantizer.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "nn/code_compute.h"
@@ -119,15 +117,6 @@ void deploy_snapshot(const NetSnapshot& snap,
                        slot.param->value.data(),
                        static_cast<std::size_t>(slot.param->value.numel())));
   }
-}
-
-bool compute_on_codes_default() {
-  static const bool on = [] {
-    const char* v = std::getenv("BER_COMPUTE_ON_CODES");
-    return v != nullptr &&
-           (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0);
-  }();
-  return on;
 }
 
 void WeightStash::save(const std::vector<Param*>& params) {

@@ -92,14 +92,9 @@ std::vector<ParamSlot> param_slots(Sequential& model);
 // otherwise a stale code store would keep overriding the freshly written
 // float weights at inference time. on_codes=true adopts weight codes into
 // code-capable layers (refreshing their float mirrors) and dequantizes the
-// rest (biases, norm params).
+// rest (biases, norm params). There is no process-wide default: every
+// caller (evaluator, planner, replica) states the mode it deploys in.
 void deploy_snapshot(const NetSnapshot& snap,
                      const std::vector<ParamSlot>& slots, bool on_codes);
-
-// Process-wide default for compute-on-codes deployment, latched from the
-// BER_COMPUTE_ON_CODES environment variable ("1"/"true"; default off) on
-// first use. The evaluator and serving replicas consult this unless
-// explicitly configured.
-bool compute_on_codes_default();
 
 }  // namespace ber

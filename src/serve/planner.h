@@ -107,7 +107,7 @@ class OperatingPointPlanner {
 
   // Compute-on-codes for both the planning sweeps and the deployed fleet
   // (see RobustnessEvaluator::set_compute_on_codes / Replica). Defaults to
-  // the BER_COMPUTE_ON_CODES environment toggle.
+  // off, like the evaluator's.
   void set_compute_on_codes(bool on) {
     on_codes_ = on;
     evaluator_.set_compute_on_codes(on);
@@ -119,7 +119,7 @@ class OperatingPointPlanner {
   QuantScheme scheme_;
   SramEnergyModel energy_;
   RobustnessEvaluator evaluator_;
-  bool on_codes_ = compute_on_codes_default();
+  bool on_codes_ = false;
 };
 
 }  // namespace ber

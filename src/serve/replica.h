@@ -17,9 +17,9 @@
 // deploys were delta/no-op and the bytes written, which bench_serving
 // surfaces per fleet.
 //
-// Deployment is weight-space by default (dequantize into the float
-// params); with compute-on-codes enabled (BER_COMPUTE_ON_CODES=1 or the
-// constructor flag) weight layers adopt the code words themselves
+// Deployment is weight-space with on_codes=false (dequantize into the
+// float params); with the constructor's on_codes=true weight layers adopt
+// the code words themselves
 // (nn/code_compute.h) and inference runs the backend's int8 qgemm over
 // them — a delta redeploy then patches code, int8 mirror and float mirror
 // together, O(1) per changed word.
@@ -64,12 +64,12 @@ class Replica {
   // `voltages` must be strictly descending (index 0 = safest, closest to
   // Vmin) with `rates` aligned and non-decreasing; `faults` must cover the
   // bottom of the grid (p_max() >= rates.back()). Deploys at `deploy_index`
-  // immediately. `on_codes` selects compute-on-codes deployment; it
-  // defaults to the BER_COMPUTE_ON_CODES environment toggle.
+  // immediately. `on_codes` selects compute-on-codes deployment; the
+  // caller always states it (the planner passes its own setting).
   Replica(int id, const Sequential& model, const NetQuantizer& quantizer,
           std::shared_ptr<const NetSnapshot> base, ChipFaultList faults,
           std::vector<double> voltages, std::vector<double> rates,
-          std::size_t deploy_index, bool on_codes = compute_on_codes_default());
+          std::size_t deploy_index, bool on_codes);
 
   // Moves the clone to grid point `i`: no-op if already there, otherwise a
   // delta redeploy patching only the code words whose faulted value

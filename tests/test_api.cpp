@@ -14,9 +14,14 @@
 #include <vector>
 
 #include "ber.h"
+#include "test_util.h"
 
 namespace ber {
 namespace {
+
+using test::Mode;
+using test::for_each_mode;
+using test::kBackendModes;
 
 // ----------------------------------------------------------------- json ---
 
@@ -112,61 +117,63 @@ struct RegistryFixture {
 };
 
 TEST(Registry, AllFiveFaultModelsConstructibleByName) {
-  RegistryFixture fx;
-  const api::FaultContext ctx = fx.context();
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    RegistryFixture fx;
+    const api::FaultContext ctx = fx.context();
 
-  Json random = Json::object();
-  random.set("p", 0.01);
-  random.set("set1_fraction", 0.2);
-  random.set("flip_fraction", 0.8);
-  random.set("seed_base", 1234);
-  auto rm = api::make_fault_model("random", random, ctx);
-  ASSERT_NE(dynamic_cast<RandomBitErrorModel*>(rm.get()), nullptr);
-  EXPECT_EQ(dynamic_cast<RandomBitErrorModel*>(rm.get())->seed_base(), 1234u);
+    Json random = Json::object();
+    random.set("p", 0.01);
+    random.set("set1_fraction", 0.2);
+    random.set("flip_fraction", 0.8);
+    random.set("seed_base", 1234);
+    auto rm = api::make_fault_model("random", random, ctx);
+    ASSERT_NE(dynamic_cast<RandomBitErrorModel*>(rm.get()), nullptr);
+    EXPECT_EQ(dynamic_cast<RandomBitErrorModel*>(rm.get())->seed_base(), 1234u);
 
-  Json profiled = Json::object();
-  profiled.set("chip", "chip2");
-  profiled.set("voltage", 0.86);
-  profiled.set("seed", 7);
-  auto pm = api::make_fault_model("profiled", profiled, ctx);
-  auto* pmc = dynamic_cast<ProfiledChipModel*>(pm.get());
-  ASSERT_NE(pmc, nullptr);
-  EXPECT_DOUBLE_EQ(pmc->voltage(), 0.86);
-  EXPECT_EQ(pmc->chip().config().seed, 7u);
-  EXPECT_GT(pmc->chip().config().vulnerable_column_fraction, 0.0);  // chip2
+    Json profiled = Json::object();
+    profiled.set("chip", "chip2");
+    profiled.set("voltage", 0.86);
+    profiled.set("seed", 7);
+    auto pm = api::make_fault_model("profiled", profiled, ctx);
+    auto* pmc = dynamic_cast<ProfiledChipModel*>(pm.get());
+    ASSERT_NE(pmc, nullptr);
+    EXPECT_DOUBLE_EQ(pmc->voltage(), 0.86);
+    EXPECT_EQ(pmc->chip().config().seed, 7u);
+    EXPECT_GT(pmc->chip().config().vulnerable_column_fraction, 0.0);  // chip2
 
-  Json ecc = Json::object();
-  ecc.set("p", 0.01);
-  ecc.set("persistent", true);
-  auto em = api::make_fault_model("ecc", ecc, ctx);
-  ASSERT_NE(dynamic_cast<EccProtectedModel*>(em.get()), nullptr);
+    Json ecc = Json::object();
+    ecc.set("p", 0.01);
+    ecc.set("persistent", true);
+    auto em = api::make_fault_model("ecc", ecc, ctx);
+    ASSERT_NE(dynamic_cast<EccProtectedModel*>(em.get()), nullptr);
 
-  Json linf = Json::object();
-  linf.set("rel_eps", 0.02);
-  auto lm = api::make_fault_model("linf", linf, ctx);
-  auto* lmc = dynamic_cast<LinfNoiseModel*>(lm.get());
-  ASSERT_NE(lmc, nullptr);
-  EXPECT_EQ(lmc->space(), FaultSpace::kFloatWeights);
-  EXPECT_DOUBLE_EQ(lmc->rel_eps(), 0.02);
+    Json linf = Json::object();
+    linf.set("rel_eps", 0.02);
+    auto lm = api::make_fault_model("linf", linf, ctx);
+    auto* lmc = dynamic_cast<LinfNoiseModel*>(lm.get());
+    ASSERT_NE(lmc, nullptr);
+    EXPECT_EQ(lmc->space(), FaultSpace::kFloatWeights);
+    EXPECT_DOUBLE_EQ(lmc->rel_eps(), 0.02);
 
-  Json adv = Json::object();
-  adv.set("budget", 4);
-  adv.set("rounds", 2);
-  adv.set("attack_examples", 32);
-  auto am = api::make_fault_model("adversarial", adv, ctx);
-  auto* amc = dynamic_cast<AdversarialBitErrorModel*>(am.get());
-  ASSERT_NE(amc, nullptr);
-  EXPECT_EQ(amc->trials().size(), 2u);  // ctx.n_trials attack trials
+    Json adv = Json::object();
+    adv.set("budget", 4);
+    adv.set("rounds", 2);
+    adv.set("attack_examples", 32);
+    auto am = api::make_fault_model("adversarial", adv, ctx);
+    auto* amc = dynamic_cast<AdversarialBitErrorModel*>(am.get());
+    ASSERT_NE(amc, nullptr);
+    EXPECT_EQ(amc->trials().size(), 2u);  // ctx.n_trials attack trials
 
-  Json control = Json::object();
-  control.set("budget", 4);
-  control.set("control", true);
-  control.set("rounds", 2);  // attack-shaping keys are ignored, not rejected
-  control.set("seed", 1);
-  auto cm = api::make_fault_model("adversarial", control, ctx);
-  auto* cmc = dynamic_cast<AdversarialBitErrorModel*>(cm.get());
-  ASSERT_NE(cmc, nullptr);
-  EXPECT_EQ(cmc->trials()[0].size(), 4u);  // budget-matched flips
+    Json control = Json::object();
+    control.set("budget", 4);
+    control.set("control", true);
+    control.set("rounds", 2);  // attack-shaping keys are ignored, not rejected
+    control.set("seed", 1);
+    auto cm = api::make_fault_model("adversarial", control, ctx);
+    auto* cmc = dynamic_cast<AdversarialBitErrorModel*>(cm.get());
+    ASSERT_NE(cmc, nullptr);
+    EXPECT_EQ(cmc->trials()[0].size(), 4u);  // budget-matched flips
+  });
 }
 
 TEST(Registry, RejectionsAreActionable) {
@@ -518,11 +525,9 @@ TEST(Zoo, CheckpointFileNamesPinned) {
       << std::hex << hash;
 }
 
-// The legacy hand-wired pipeline for the same recipe. Training pins the
-// reference backend exactly like Runner::resolve does — otherwise a
-// BER_BACKEND override would train a (slightly) different model here than
-// the Runner evaluates, and the bit-exactness comparisons below would be
-// comparing two models instead of two pipelines.
+// The legacy hand-wired pipeline for the same recipe. Training runs on the
+// reference backend, like zoo::load_or_train behind the Runner, so the
+// comparisons below compare two pipelines over one model.
 struct LegacyRun {
   LegacyRun() {
     const api::ModelEntry e = tiny_entry();
@@ -539,11 +544,17 @@ struct LegacyRun {
 };
 
 TEST(Runner, RateSweepBitExactVsLegacyPaths) {
-  // The spec pins its backend (default "reference") for the whole run, so
-  // the hand-wired legacy side must evaluate under that same backend — not
-  // the ambient BER_BACKEND — for bit-exactness to be well-defined.
-  const kernels::ScopedBackend guard(kernels::backend("reference"));
   const std::vector<double> grid{0.004, 0.02};
+  api::ExperimentSpec spec;
+  spec.name = "bitexact";
+  spec.models.push_back(tiny_entry());
+  spec.eval.rate_grid = grid;
+  spec.eval.n_trials = 2;
+  spec.eval.split = "test";
+  const api::Report report = api::Runner(spec).run();
+
+  // The legacy side evaluates in the mode the spec names.
+  const kernels::ScopedBackend guard(spec.backend);
   LegacyRun legacy;
   const float legacy_clean =
       test_error(*legacy.model, legacy.test_set, &legacy.scheme);
@@ -551,7 +562,8 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
   BitErrorConfig cfg;
   cfg.p = 0.02;
   const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
-  const RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
+  RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
+  evaluator.set_compute_on_codes(spec.compute_on_codes);
   const std::vector<RobustResult> legacy_sweep =
       evaluator.run_rate_sweep(fault, grid, legacy.test_set, /*n_trials=*/2);
   // Hand-wired single-point path.
@@ -560,13 +572,6 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
   const RobustResult legacy_single =
       evaluator.run(RandomBitErrorModel(single, 1000), legacy.test_set, 2);
 
-  api::ExperimentSpec spec;
-  spec.name = "bitexact";
-  spec.models.push_back(tiny_entry());
-  spec.eval.rate_grid = grid;
-  spec.eval.n_trials = 2;
-  spec.eval.split = "test";
-  const api::Report report = api::Runner(spec).run();
   const api::ModelReport& m = report.models.front();
   ASSERT_EQ(m.points.size(), grid.size());
   EXPECT_EQ(static_cast<float>(m.clean_err), legacy_clean);
@@ -580,10 +585,6 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
 }
 
 TEST(Runner, GenericGridMatchesLegacySinglePoints) {
-  // Evaluate the legacy side under the spec's pinned backend (see
-  // RateSweepBitExactVsLegacyPaths).
-  const kernels::ScopedBackend guard(kernels::backend("reference"));
-  LegacyRun legacy;
   // ECC persistent sweep over p through the generic grid.
   const std::vector<double> ps{0.002, 0.01};
   api::ExperimentSpec spec;
@@ -596,7 +597,11 @@ TEST(Runner, GenericGridMatchesLegacySinglePoints) {
   spec.eval.split = "test";
   spec.eval.clean_err = false;
   const api::Report report = api::Runner(spec).run();
-  const RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
+  // The legacy side evaluates in the mode the spec names.
+  const kernels::ScopedBackend guard(spec.backend);
+  LegacyRun legacy;
+  RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
+  evaluator.set_compute_on_codes(spec.compute_on_codes);
   for (std::size_t i = 0; i < ps.size(); ++i) {
     BitErrorConfig cfg;
     cfg.p = ps[i];
@@ -605,6 +610,62 @@ TEST(Runner, GenericGridMatchesLegacySinglePoints) {
     const RobustResult r = evaluator.run(fault, legacy.test_set, 2);
     EXPECT_EQ(report.models[0].points[i].result.mean_rerr, r.mean_rerr) << i;
   }
+}
+
+// The spec decides the deployment in both directions: one recipe on the
+// blocked backend, run on the code words and off them in one process. Each
+// run matches a hand-wired evaluator told the same, and each report's spec
+// names the path that ran.
+TEST(Runner, SpecDecidesComputeOnCodesBothWays) {
+  const std::vector<double> grid{0.004, 0.02};
+  api::ExperimentSpec spec;
+  spec.name = "codes_both_ways";
+  spec.backend = "blocked";
+  spec.models.push_back(tiny_entry());
+  spec.eval.rate_grid = grid;
+  spec.eval.n_trials = 2;
+  spec.eval.split = "test";
+  spec.eval.clean_err = false;
+  LegacyRun legacy;
+  BitErrorConfig cfg;
+  cfg.p = grid.back();
+  const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
+
+  std::vector<std::vector<RobustResult>> runs;
+  for (const bool on_codes : {true, false}) {
+    SCOPED_TRACE(on_codes ? "on_codes" : "weight_space");
+    spec.compute_on_codes = on_codes;
+    const api::Report report = api::Runner(spec).run();
+    EXPECT_EQ(report.spec.compute_on_codes, on_codes);
+    EXPECT_EQ(api::ExperimentSpec::from_json(report.to_json().at("spec"))
+                  .compute_on_codes,
+              on_codes);
+
+    const kernels::ScopedBackend guard(spec.backend);
+    RobustnessEvaluator evaluator(*legacy.model, legacy.scheme);
+    evaluator.set_compute_on_codes(on_codes);
+    const std::vector<RobustResult> wired =
+        evaluator.run_rate_sweep(fault, grid, legacy.test_set, 2);
+    const api::ModelReport& m = report.models.front();
+    ASSERT_EQ(m.points.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(m.points[i].result.per_chip, wired[i].per_chip) << i;
+      EXPECT_EQ(m.points[i].result.mean_rerr, wired[i].mean_rerr) << i;
+      EXPECT_EQ(m.points[i].result.std_rerr, wired[i].std_rerr) << i;
+      EXPECT_EQ(m.points[i].result.mean_confidence, wired[i].mean_confidence)
+          << i;
+    }
+    runs.push_back(wired);
+  }
+  // The int8 path quantizes activations, so its results differ from float
+  // evaluation of the same faulted weights.
+  ASSERT_EQ(runs.size(), 2u);
+  bool differ = false;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    differ = differ || runs[0][i].per_chip != runs[1][i].per_chip ||
+             runs[0][i].mean_confidence != runs[1][i].mean_confidence;
+  }
+  EXPECT_TRUE(differ);
 }
 
 TEST(Runner, ReportJsonCarriesResults) {

@@ -19,11 +19,17 @@
 #include "faults/evaluator.h"
 #include "models/factory.h"
 #include "quant/quantizer.h"
+#include "test_util.h"
 #include "train/grad_capture.h"
 #include "train/trainer.h"
 
 namespace ber {
 namespace {
+
+using test::Mode;
+using test::for_each_mode;
+using test::kAllModes;
+using test::kBackendModes;
 
 // ------------------------------------------------------------- bit deltas ---
 
@@ -157,13 +163,13 @@ TEST(TopFlips, RejectsMismatchedGradients) {
 
 // --------------------------------------------------------------- fixture ---
 
-// One trained reference net, shared across the expensive attack tests.
+// One trained net per backend, shared across the expensive attack tests.
 struct Trained {
   Dataset train_set, test_set;
   std::unique_ptr<Sequential> model;
   QuantScheme scheme = QuantScheme::rquant(8);
 
-  Trained() {
+  explicit Trained(const char* backend) {
     SyntheticConfig dc = SyntheticConfig::mnist();
     dc.n_train = 400;
     dc.n_test = 200;
@@ -179,41 +185,49 @@ struct Trained {
     tc.epochs = 6;
     tc.batch_size = 50;
     tc.seed = 11;
+    const kernels::ScopedBackend scoped(backend);
     train(*model, train_set, test_set, tc);
   }
 };
 
-Trained& trained() {
-  static Trained t;
-  return t;
+// The net trained on `backend` (both are trained lazily, once).
+Trained& trained(const std::string& backend = "reference") {
+  if (backend == "blocked") {
+    static Trained blocked("blocked");
+    return blocked;
+  }
+  static Trained reference("reference");
+  return reference;
 }
 
 // ----------------------------------------------------------- determinism ---
 
 TEST(BitFlipAttacker, FlipSetReproducibleForFixedConfigAndSeed) {
-  Trained& t = trained();
-  AttackConfig cfg;
-  cfg.budget = 20;
-  cfg.rounds = 4;
-  cfg.attack_examples = 100;
-  cfg.seed = 9;
-  const RobustnessEvaluator evaluator(*t.model, t.scheme);
+  for_each_mode(kBackendModes, [&](const Mode& mode) {
+    Trained& t = trained(mode.backend);
+    AttackConfig cfg;
+    cfg.budget = 20;
+    cfg.rounds = 4;
+    cfg.attack_examples = 100;
+    cfg.seed = 9;
+    const RobustnessEvaluator evaluator(*t.model, t.scheme);
 
-  BitFlipAttacker a(*t.model, t.scheme, t.train_set, cfg);
-  BitFlipAttacker b(*t.model, t.scheme, t.train_set, cfg);
-  const AttackResult ra = a.attack(evaluator.snapshot());
-  const AttackResult rb = b.attack(evaluator.snapshot());
-  ASSERT_EQ(ra.flips.size(), rb.flips.size());
-  EXPECT_EQ(ra.flips, rb.flips);
-  EXPECT_EQ(ra.clean_loss, rb.clean_loss);
-  EXPECT_EQ(ra.final_loss, rb.final_loss);
-  // Rerunning the same attacker reproduces the set too (no hidden state).
-  EXPECT_EQ(a.attack(evaluator.snapshot()).flips, ra.flips);
+    BitFlipAttacker a(*t.model, t.scheme, t.train_set, cfg);
+    BitFlipAttacker b(*t.model, t.scheme, t.train_set, cfg);
+    const AttackResult ra = a.attack(evaluator.snapshot());
+    const AttackResult rb = b.attack(evaluator.snapshot());
+    ASSERT_EQ(ra.flips.size(), rb.flips.size());
+    EXPECT_EQ(ra.flips, rb.flips);
+    EXPECT_EQ(ra.clean_loss, rb.clean_loss);
+    EXPECT_EQ(ra.final_loss, rb.final_loss);
+    // Rerunning the same attacker reproduces the set too (no hidden state).
+    EXPECT_EQ(a.attack(evaluator.snapshot()).flips, ra.flips);
 
-  EXPECT_LE(ra.flips.size(), static_cast<std::size_t>(cfg.budget));
-  EXPECT_GT(ra.predicted_gain, 0.0f);
-  // The attack increases the attack-batch loss.
-  EXPECT_GT(ra.final_loss, ra.clean_loss);
+    EXPECT_LE(ra.flips.size(), static_cast<std::size_t>(cfg.budget));
+    EXPECT_GT(ra.predicted_gain, 0.0f);
+    // The attack increases the attack-batch loss.
+    EXPECT_GT(ra.final_loss, ra.clean_loss);
+  });
 }
 
 TEST(BitFlipAttacker, RejectsMismatchedSnapshot) {
@@ -229,50 +243,56 @@ TEST(BitFlipAttacker, RejectsMismatchedSnapshot) {
 // ----------------------------------------------- adversarial beats random ---
 
 TEST(AdversarialAttack, DegradesAtLeastAsMuchAsRandomAtEqualBudget) {
-  Trained& t = trained();
-  const RobustnessEvaluator evaluator(*t.model, t.scheme);
-  const float clean = test_error(*t.model, t.test_set, &t.scheme);
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Trained& t = trained(mode.backend);
+    RobustnessEvaluator evaluator(*t.model, t.scheme);
+    evaluator.set_compute_on_codes(mode.on_codes);
+    const float clean = test_error(*t.model, t.test_set, &t.scheme);
 
-  AttackConfig cfg;
-  cfg.budget = 40;
-  cfg.rounds = 4;
-  cfg.attack_examples = 200;
-  cfg.seed = 1;
-  BitFlipAttacker attacker(*t.model, t.scheme, t.train_set, cfg);
-  const AdversarialBitErrorModel adv =
-      make_adversarial_model(attacker, evaluator.snapshot(), 2);
-  const RobustResult adv_r = evaluator.run(adv, t.test_set, 2);
+    AttackConfig cfg;
+    cfg.budget = 40;
+    cfg.rounds = 4;
+    cfg.attack_examples = 200;
+    cfg.seed = 1;
+    BitFlipAttacker attacker(*t.model, t.scheme, t.train_set, cfg);
+    const AdversarialBitErrorModel adv =
+        make_adversarial_model(attacker, evaluator.snapshot(), 2);
+    const RobustResult adv_r = evaluator.run(adv, t.test_set, 2);
 
-  const AdversarialBitErrorModel rnd = random_flip_model(
-      evaluator.snapshot(), static_cast<std::size_t>(cfg.budget),
-      /*n_trials=*/6);
-  const RobustResult rnd_r = evaluator.run(rnd, t.test_set, 6);
+    const AdversarialBitErrorModel rnd = random_flip_model(
+        evaluator.snapshot(), static_cast<std::size_t>(cfg.budget),
+        /*n_trials=*/6);
+    const RobustResult rnd_r = evaluator.run(rnd, t.test_set, 6);
 
-  // The gradient-guided flips must hurt, and hurt at least as much as the
-  // budget-matched random control.
-  EXPECT_GT(adv_r.mean_rerr, clean);
-  EXPECT_GE(adv_r.mean_rerr, rnd_r.mean_rerr);
+    // The gradient-guided flips must hurt, and hurt at least as much as the
+    // budget-matched random control.
+    EXPECT_GT(adv_r.mean_rerr, clean);
+    EXPECT_GE(adv_r.mean_rerr, rnd_r.mean_rerr);
+  });
 }
 
 TEST(AdversarialAttack, CampaignIsDeterministic) {
-  Trained& t = trained();
-  AttackConfig cfg;
-  cfg.budget = 10;
-  cfg.rounds = 2;
-  cfg.attack_examples = 80;
-  const RobustnessEvaluator evaluator(*t.model, t.scheme);
-  // A fresh attacker per campaign: the flip sets, and so the RErr, must
-  // reproduce bit for bit.
-  const auto campaign = [&] {
-    BitFlipAttacker attacker(*t.model, t.scheme, t.train_set, cfg);
-    return evaluator.run(
-        make_adversarial_model(attacker, evaluator.snapshot(), 2), t.test_set,
-        2);
-  };
-  const RobustResult a = campaign();
-  const RobustResult b = campaign();
-  ASSERT_EQ(a.per_chip.size(), 2u);
-  EXPECT_EQ(a.per_chip, b.per_chip);
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Trained& t = trained(mode.backend);
+    AttackConfig cfg;
+    cfg.budget = 10;
+    cfg.rounds = 2;
+    cfg.attack_examples = 80;
+    RobustnessEvaluator evaluator(*t.model, t.scheme);
+    evaluator.set_compute_on_codes(mode.on_codes);
+    // A fresh attacker per campaign: the flip sets, and so the RErr, must
+    // reproduce bit for bit.
+    const auto campaign = [&] {
+      BitFlipAttacker attacker(*t.model, t.scheme, t.train_set, cfg);
+      return evaluator.run(
+          make_adversarial_model(attacker, evaluator.snapshot(), 2), t.test_set,
+          2);
+    };
+    const RobustResult a = campaign();
+    const RobustResult b = campaign();
+    ASSERT_EQ(a.per_chip.size(), 2u);
+    EXPECT_EQ(a.per_chip, b.per_chip);
+  });
 }
 
 // ------------------------------------------------------- model validation ---
@@ -352,47 +372,51 @@ TEST(RandomFlipSet, BudgetedDistinctDeterministic) {
 // -------------------------------------------------------- gradient capture ---
 
 TEST(GradCapture, LeavesModelStateUntouched) {
-  Trained& t = trained();
-  Sequential clone(*t.model);
-  const auto params = clone.params();
-  // Seed distinctive state to verify restoration.
-  params[0]->grad.fill(3.5f);
-  const float w0 = params[0]->value[0];
-  const NetQuantizer quantizer(t.scheme);
-  const NetSnapshot snap = quantizer.quantize(params);
+  for_each_mode(kBackendModes, [&](const Mode& mode) {
+    Trained& t = trained(mode.backend);
+    Sequential clone(*t.model);
+    const auto params = clone.params();
+    // Seed distinctive state to verify restoration.
+    params[0]->grad.fill(3.5f);
+    const float w0 = params[0]->value[0];
+    const NetQuantizer quantizer(t.scheme);
+    const NetSnapshot snap = quantizer.quantize(params);
 
-  const GradCapture cap = capture_weight_gradients(
-      clone, quantizer, snap, t.test_set.head(64), /*batch=*/32);
-  EXPECT_GT(cap.loss, 0.0f);
-  ASSERT_EQ(cap.grads.size(), params.size());
-  // Returned gradients are real (not all zero).
-  float norm = 0.0f;
-  for (const Tensor& g : cap.grads) {
-    for (long i = 0; i < g.numel(); ++i) norm += g[i] * g[i];
-  }
-  EXPECT_GT(norm, 0.0f);
-  // Master weights and the caller's gradient accumulators survive.
-  EXPECT_EQ(params[0]->value[0], w0);
-  EXPECT_EQ(params[0]->grad[0], 3.5f);
+    const GradCapture cap = capture_weight_gradients(
+        clone, quantizer, snap, t.test_set.head(64), /*batch=*/32);
+    EXPECT_GT(cap.loss, 0.0f);
+    ASSERT_EQ(cap.grads.size(), params.size());
+    // Returned gradients are real (not all zero).
+    float norm = 0.0f;
+    for (const Tensor& g : cap.grads) {
+      for (long i = 0; i < g.numel(); ++i) norm += g[i] * g[i];
+    }
+    EXPECT_GT(norm, 0.0f);
+    // Master weights and the caller's gradient accumulators survive.
+    EXPECT_EQ(params[0]->value[0], w0);
+    EXPECT_EQ(params[0]->grad[0], 3.5f);
+  });
 }
 
 TEST(GradCapture, BatchSizeDoesNotChangeTheGradient) {
-  Trained& t = trained();
-  Sequential clone(*t.model);
-  const NetQuantizer quantizer(t.scheme);
-  const NetSnapshot snap = quantizer.quantize(clone.params());
-  const Dataset subset = t.test_set.head(60);
-  const GradCapture one = capture_weight_gradients(clone, quantizer, snap,
-                                                   subset, /*batch=*/60);
-  const GradCapture chunked = capture_weight_gradients(clone, quantizer, snap,
-                                                       subset, /*batch=*/17);
-  ASSERT_EQ(one.grads.size(), chunked.grads.size());
-  EXPECT_NEAR(one.loss, chunked.loss, 1e-5f);
-  for (std::size_t i = 0; i < one.grads.size(); ++i) {
-    for (long j = 0; j < one.grads[i].numel(); ++j) {
-      EXPECT_NEAR(one.grads[i][j], chunked.grads[i][j], 1e-5f);
+  for_each_mode(kBackendModes, [&](const Mode& mode) {
+    Trained& t = trained(mode.backend);
+    Sequential clone(*t.model);
+    const NetQuantizer quantizer(t.scheme);
+    const NetSnapshot snap = quantizer.quantize(clone.params());
+    const Dataset subset = t.test_set.head(60);
+    const GradCapture one = capture_weight_gradients(clone, quantizer, snap,
+                                                     subset, /*batch=*/60);
+    const GradCapture chunked = capture_weight_gradients(clone, quantizer, snap,
+                                                         subset, /*batch=*/17);
+    ASSERT_EQ(one.grads.size(), chunked.grads.size());
+    EXPECT_NEAR(one.loss, chunked.loss, 1e-5f);
+    for (std::size_t i = 0; i < one.grads.size(); ++i) {
+      for (long j = 0; j < one.grads[i].numel(); ++j) {
+        EXPECT_NEAR(one.grads[i][j], chunked.grads[i][j], 1e-5f);
+      }
     }
-  }
+  });
 }
 
 // A batch below 1 would never advance the chunk loop.

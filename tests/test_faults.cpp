@@ -32,6 +32,12 @@
 namespace ber {
 namespace {
 
+using test::Mode;
+using test::evaluator_in;
+using test::for_each_mode;
+using test::kAllModes;
+using test::kBackendModes;
+
 NetSnapshot make_snapshot(std::size_t n_weights, int bits,
                           std::uint64_t seed = 1) {
   Rng rng(seed);
@@ -288,28 +294,30 @@ TEST(ProfiledChip, FaultListServesWholeVoltageGrid) {
 }
 
 TEST(RobustnessEvaluator, VoltageSweepMatchesIndividualRuns) {
-  Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  ProfiledChipConfig cc = ProfiledChipConfig::chip2();
-  cc.rows = 512;
-  cc.cols = 64;
-  const ProfiledChip chip(cc);
-  const std::vector<double> grid{0.82, 0.86, 0.95};
-  const ProfiledChipModel fault(chip, grid[0]);
-  std::vector<double> rates;
-  for (double v : grid) rates.push_back(fault.rate_at_voltage(v));
-  const RobustnessEvaluator evaluator(*f.model, scheme);
-  obs::Histogram& trial_us = obs::registry().histogram("faults.trial_us");
-  const std::uint64_t timed0 = trial_us.snapshot().count;
-  const auto sweep = evaluator.run_rate_sweep(fault, rates, f.data, 4);
-  // Every (chip, voltage) cell of the sweep is timed: 4 chips x 3 voltages.
-  EXPECT_EQ(trial_us.snapshot().count - timed0, 12u);
-  ASSERT_EQ(sweep.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const RobustResult single =
-        evaluator.run(ProfiledChipModel(chip, grid[i]), f.data, 4);
-    EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "v=" << grid[i];
-  }
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    ProfiledChipConfig cc = ProfiledChipConfig::chip2();
+    cc.rows = 512;
+    cc.cols = 64;
+    const ProfiledChip chip(cc);
+    const std::vector<double> grid{0.82, 0.86, 0.95};
+    const ProfiledChipModel fault(chip, grid[0]);
+    std::vector<double> rates;
+    for (double v : grid) rates.push_back(fault.rate_at_voltage(v));
+    const RobustnessEvaluator evaluator = evaluator_in(mode, *f.model, scheme);
+    obs::Histogram& trial_us = obs::registry().histogram("faults.trial_us");
+    const std::uint64_t timed0 = trial_us.snapshot().count;
+    const auto sweep = evaluator.run_rate_sweep(fault, rates, f.data, 4);
+    // Every (chip, voltage) cell of the sweep is timed: 4 chips x 3 voltages.
+    EXPECT_EQ(trial_us.snapshot().count - timed0, 12u);
+    ASSERT_EQ(sweep.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const RobustResult single =
+          evaluator.run(ProfiledChipModel(chip, grid[i]), f.data, 4);
+      EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "v=" << grid[i];
+    }
+  });
 }
 
 TEST(ChipFaultList, FaultCountConcentratesAroundExpectation) {
@@ -345,12 +353,12 @@ RobustResult legacy_summarize(std::vector<float> errs,
 
 // The legacy random-error pipeline (fresh clone per chip, scalar injection).
 // Code-space legacy loops deploy through the same weight-space/on-codes
-// switch the evaluator uses so the regression stays a pipeline-identity
-// check under BER_COMPUTE_ON_CODES=1 too.
+// switch the evaluator uses, so the regression stays a pipeline-identity
+// check on the int8 datapath too.
 RobustResult legacy_random_rerr(Sequential& model, const QuantScheme& scheme,
                                  const Dataset& data,
                                  const BitErrorConfig& config, int n_chips,
-                                 std::uint64_t seed_base) {
+                                 std::uint64_t seed_base, bool on_codes) {
   NetQuantizer quantizer(scheme);
   const NetSnapshot base = quantizer.quantize(model.params());
   std::vector<float> errs, confs;
@@ -359,7 +367,7 @@ RobustResult legacy_random_rerr(Sequential& model, const QuantScheme& scheme,
     NetSnapshot snap = base;
     inject_random_bit_errors(snap, config,
                              seed_base + static_cast<std::uint64_t>(c));
-    deploy_snapshot(snap, param_slots(clone), compute_on_codes_default());
+    deploy_snapshot(snap, param_slots(clone), on_codes);
     const EvalResult r = evaluate(clone, data);
     errs.push_back(r.error);
     confs.push_back(r.confidence);
@@ -370,7 +378,7 @@ RobustResult legacy_random_rerr(Sequential& model, const QuantScheme& scheme,
 RobustResult legacy_profiled_rerr(Sequential& model, const QuantScheme& scheme,
                                   const Dataset& data,
                                   const ProfiledChip& chip, double v,
-                                  int n_offsets) {
+                                  int n_offsets, bool on_codes) {
   NetQuantizer quantizer(scheme);
   const NetSnapshot base = quantizer.quantize(model.params());
   std::vector<float> errs, confs;
@@ -381,7 +389,7 @@ RobustResult legacy_profiled_rerr(Sequential& model, const QuantScheme& scheme,
         (static_cast<std::uint64_t>(i) * 7919ULL * 64ULL) %
         static_cast<std::uint64_t>(chip.num_cells());
     chip.apply(snap, v, offset);
-    deploy_snapshot(snap, param_slots(clone), compute_on_codes_default());
+    deploy_snapshot(snap, param_slots(clone), on_codes);
     const EvalResult r = evaluate(clone, data);
     errs.push_back(r.error);
     confs.push_back(r.confidence);
@@ -418,42 +426,50 @@ void expect_same_result(const RobustResult& now, const RobustResult& legacy) {
 }
 
 TEST(FaultRegression, RandomBitErrorModelUnchanged) {
-  Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  BitErrorConfig cfg;
-  cfg.p = 0.01;
-  expect_same_result(
-      RobustnessEvaluator(*f.model, scheme)
-          .run(RandomBitErrorModel(cfg, /*seed_base=*/1000), f.data, 5),
-      legacy_random_rerr(*f.model, scheme, f.data, cfg, 5, 1000));
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    BitErrorConfig cfg;
+    cfg.p = 0.01;
+    expect_same_result(
+        evaluator_in(mode, *f.model, scheme)
+            .run(RandomBitErrorModel(cfg, /*seed_base=*/1000), f.data, 5),
+        legacy_random_rerr(*f.model, scheme, f.data, cfg, 5, 1000,
+                           mode.on_codes));
+  });
 }
 
 TEST(FaultRegression, ProfiledChipModelUnchanged) {
-  Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  ProfiledChipConfig cc = ProfiledChipConfig::chip2();
-  cc.rows = 512;
-  cc.cols = 64;
-  const ProfiledChip chip(cc);
-  expect_same_result(
-      RobustnessEvaluator(*f.model, scheme)
-          .run(ProfiledChipModel(chip, 0.84), f.data, 4),
-      legacy_profiled_rerr(*f.model, scheme, f.data, chip, 0.84, 4));
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    ProfiledChipConfig cc = ProfiledChipConfig::chip2();
+    cc.rows = 512;
+    cc.cols = 64;
+    const ProfiledChip chip(cc);
+    expect_same_result(
+        evaluator_in(mode, *f.model, scheme)
+            .run(ProfiledChipModel(chip, 0.84), f.data, 4),
+        legacy_profiled_rerr(*f.model, scheme, f.data, chip, 0.84, 4,
+                             mode.on_codes));
+  });
 }
 
 TEST(FaultRegression, LinfNoiseModelUnchanged) {
-  Fixture f;
-  expect_same_result(
-      RobustnessEvaluator(*f.model)
-          .run(LinfNoiseModel(0.1, /*seed_base=*/2000), f.data, 4),
-      legacy_linf_rerr(*f.model, f.data, 0.1, 4, 2000));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Fixture f;
+    expect_same_result(
+        RobustnessEvaluator(*f.model)
+            .run(LinfNoiseModel(0.1, /*seed_base=*/2000), f.data, 4),
+        legacy_linf_rerr(*f.model, f.data, 0.1, 4, 2000));
+  });
 }
 
 // The legacy ECC baseline loop (pre-refactor bench_ecc_baseline.cpp).
 RobustResult legacy_rerr_with_secded(Sequential& model,
                                      const QuantScheme& scheme,
                                      const Dataset& data, double p,
-                                     int chips) {
+                                     int chips, bool on_codes) {
   NetQuantizer quantizer(scheme);
   const NetSnapshot base = quantizer.quantize(model.params());
   std::vector<float> errs, confs;
@@ -481,7 +497,7 @@ RobustResult legacy_rerr_with_secded(Sequential& model,
       }
     }
     Sequential clone(model);
-    deploy_snapshot(snap, param_slots(clone), compute_on_codes_default());
+    deploy_snapshot(snap, param_slots(clone), on_codes);
     const EvalResult r = evaluate(clone, data);
     errs.push_back(r.error);
     confs.push_back(r.confidence);
@@ -490,107 +506,118 @@ RobustResult legacy_rerr_with_secded(Sequential& model,
 }
 
 TEST(FaultRegression, EccProtectedModelMatchesLegacyBenchLoop) {
-  Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  for (double p : {0.001, 0.01}) {
-    const EccProtectedModel fault(p);
-    const RobustResult now =
-        RobustnessEvaluator(*f.model, scheme).run(fault, f.data, 3);
-    const RobustResult legacy =
-        legacy_rerr_with_secded(*f.model, scheme, f.data, p, 3);
-    expect_same_result(now, legacy);
-  }
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    for (double p : {0.001, 0.01}) {
+      const EccProtectedModel fault(p);
+      const RobustResult now =
+          evaluator_in(mode, *f.model, scheme).run(fault, f.data, 3);
+      const RobustResult legacy = legacy_rerr_with_secded(
+          *f.model, scheme, f.data, p, 3, mode.on_codes);
+      expect_same_result(now, legacy);
+    }
+  });
 }
 
 // ------------------------------------------------------------- evaluator ---
 
 TEST(RobustnessEvaluator, RateSweepMatchesIndividualRuns) {
-  Fixture f;
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  const std::vector<double> grid{0.001, 0.005, 0.02};
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
-  const RobustnessEvaluator evaluator(*f.model, scheme);
-  const auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 4);
-  ASSERT_EQ(sweep.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    BitErrorConfig at_p = cfg;
-    at_p.p = grid[i];
-    const RobustResult single =
-        evaluator.run(RandomBitErrorModel(at_p, 1000), f.data, 4);
-    EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "p=" << grid[i];
-  }
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    const std::vector<double> grid{0.001, 0.005, 0.02};
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel fault(cfg, /*seed_base=*/1000);
+    const RobustnessEvaluator evaluator = evaluator_in(mode, *f.model, scheme);
+    const auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 4);
+    ASSERT_EQ(sweep.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      BitErrorConfig at_p = cfg;
+      at_p.p = grid[i];
+      const RobustResult single =
+          evaluator.run(RandomBitErrorModel(at_p, 1000), f.data, 4);
+      EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "p=" << grid[i];
+    }
+  });
 }
 
 TEST(RobustnessEvaluator, CellGridBitIdenticalAcrossThreadCounts) {
-  // The benchmark's shape, 5 chips x 5 rates on codes: cell counts that no
-  // thread count from 2 to 4 divides, so workers claim uneven cell shares.
-  Fixture f;
-  const std::vector<double> grid{0.001, 0.003, 0.005, 0.01, 0.02};
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel fault(cfg, /*seed_base=*/4242);
-  RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
-  evaluator.set_compute_on_codes(true);
-  obs::Counter& built = obs::registry().counter("faults.fault_lists_built");
-  obs::Histogram& timed = obs::registry().histogram("faults.trial_us");
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    // The benchmark's shape, 5 chips x 5 rates on codes: cell counts that no
+    // thread count from 2 to 4 divides, so workers claim uneven cell shares.
+    Fixture f;
+    const std::vector<double> grid{0.001, 0.003, 0.005, 0.01, 0.02};
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel fault(cfg, /*seed_base=*/4242);
+    RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
+    evaluator.set_compute_on_codes(true);
+    obs::Counter& built = obs::registry().counter("faults.fault_lists_built");
+    obs::Histogram& timed = obs::registry().histogram("faults.trial_us");
 
-  // default_threads() reads BER_THREADS on every call, so each sweep
-  // claims its cells with a different number of workers.
-  const auto sweep_with_threads = [&](const char* threads) {
-    const test::ScopedThreadsEnv scoped(threads);
-    const std::uint64_t built0 = built.value();
-    const std::uint64_t timed0 = timed.snapshot().count;
-    auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 5, 40);
-    EXPECT_EQ(built.value() - built0, 5u) << "one list per chip";
-    EXPECT_EQ(timed.snapshot().count - timed0, 25u) << "one sample per cell";
-    return sweep;
-  };
+    // default_threads() reads BER_THREADS on every call, so each sweep
+    // claims its cells with a different number of workers.
+    const auto sweep_with_threads = [&](const char* threads) {
+      const test::ScopedThreadsEnv scoped(threads);
+      const std::uint64_t built0 = built.value();
+      const std::uint64_t timed0 = timed.snapshot().count;
+      auto sweep = evaluator.run_rate_sweep(fault, grid, f.data, 5, 40);
+      EXPECT_EQ(built.value() - built0, 5u) << "one list per chip";
+      EXPECT_EQ(timed.snapshot().count - timed0, 25u) << "one sample per cell";
+      return sweep;
+    };
 
-  const auto one = sweep_with_threads("1");
-  ASSERT_EQ(one.size(), grid.size());
-  for (const char* threads : {"2", "3", "4"}) {
-    const auto many = sweep_with_threads(threads);
-    ASSERT_EQ(many.size(), grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      EXPECT_EQ(many[i].per_chip, one[i].per_chip)
-          << "threads=" << threads << " p=" << grid[i];
+    const auto one = sweep_with_threads("1");
+    ASSERT_EQ(one.size(), grid.size());
+    for (const char* threads : {"2", "3", "4"}) {
+      const auto many = sweep_with_threads(threads);
+      ASSERT_EQ(many.size(), grid.size());
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(many[i].per_chip, one[i].per_chip)
+            << "threads=" << threads << " p=" << grid[i];
+      }
     }
-  }
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    BitErrorConfig at_p = cfg;
-    at_p.p = grid[i];
-    const RobustResult single =
-        evaluator.run(RandomBitErrorModel(at_p, 4242), f.data, 5, 40);
-    EXPECT_EQ(one[i].per_chip, single.per_chip) << "p=" << grid[i];
-  }
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      BitErrorConfig at_p = cfg;
+      at_p.p = grid[i];
+      const RobustResult single =
+          evaluator.run(RandomBitErrorModel(at_p, 4242), f.data, 5, 40);
+      EXPECT_EQ(one[i].per_chip, single.per_chip) << "p=" << grid[i];
+    }
+  });
 }
 
 TEST(RobustnessEvaluator, RejectsNonPositiveBatchAndEmptyData) {
-  // A non-positive batch would never advance the evaluation loop and an
-  // empty set has no error rate; both throw from inside a cell and reach
-  // the caller.
-  Fixture f;
-  const RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel random(cfg);
-  const Dataset empty;
-  for (long batch : {0L, -3L}) {
-    EXPECT_THROW(evaluator.run(random, f.data, 3, batch), std::invalid_argument);
-    EXPECT_THROW(evaluator.run_rate_sweep(random, {0.01, 0.02}, f.data, 3, batch),
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    // A non-positive batch would never advance the evaluation loop and an
+    // empty set has no error rate; both throw from inside a cell and reach
+    // the caller.
+    Fixture f;
+    const RobustnessEvaluator evaluator =
+        evaluator_in(mode, *f.model, QuantScheme::rquant(8));
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel random(cfg);
+    const Dataset empty;
+    for (long batch : {0L, -3L}) {
+      EXPECT_THROW(evaluator.run(random, f.data, 3, batch),
+                   std::invalid_argument);
+      EXPECT_THROW(
+          evaluator.run_rate_sweep(random, {0.01, 0.02}, f.data, 3, batch),
+          std::invalid_argument);
+    }
+    EXPECT_THROW(evaluator.run(random, empty, 3), std::invalid_argument);
+    EXPECT_THROW(evaluator.run_rate_sweep(random, {0.01, 0.02}, empty, 3),
                  std::invalid_argument);
-  }
-  EXPECT_THROW(evaluator.run(random, empty, 3), std::invalid_argument);
-  EXPECT_THROW(evaluator.run_rate_sweep(random, {0.01, 0.02}, empty, 3),
-               std::invalid_argument);
 
-  const RobustResult after = evaluator.run(random, f.data, 4);
-  const RobustResult fresh =
-      RobustnessEvaluator(*f.model, QuantScheme::rquant(8)).run(random, f.data,
-                                                                4);
-  EXPECT_EQ(after.per_chip, fresh.per_chip);
+    const RobustResult after = evaluator.run(random, f.data, 4);
+    const RobustResult fresh =
+        evaluator_in(mode, *f.model, QuantScheme::rquant(8))
+            .run(random, f.data, 4);
+    EXPECT_EQ(after.per_chip, fresh.per_chip);
+  });
 }
 
 TEST(RobustnessEvaluator, RateSweepRejectsNonPersistentModels) {
@@ -620,18 +647,21 @@ TEST(FaultModel, PersistentModelsExposeTheirVoltageCurves) {
 }
 
 TEST(RobustnessEvaluator, ModelLeftUntouched) {
-  Fixture f;
-  const float before = f.model->params()[0]->value[0];
-  BitErrorConfig cfg;
-  cfg.p = 0.05;
-  RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
-  evaluator.run(RandomBitErrorModel(cfg), f.data, 3);
-  evaluator.run(EccProtectedModel(0.01), f.data, 2);
-  EXPECT_EQ(f.model->params()[0]->value[0], before);
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const float before = f.model->params()[0]->value[0];
+    BitErrorConfig cfg;
+    cfg.p = 0.05;
+    RobustnessEvaluator evaluator =
+        evaluator_in(mode, *f.model, QuantScheme::rquant(8));
+    evaluator.run(RandomBitErrorModel(cfg), f.data, 3);
+    evaluator.run(EccProtectedModel(0.01), f.data, 2);
+    EXPECT_EQ(f.model->params()[0]->value[0], before);
 
-  RobustnessEvaluator float_eval(*f.model);
-  float_eval.run(LinfNoiseModel(0.2), f.data, 3);
-  EXPECT_EQ(f.model->params()[0]->value[0], before);
+    RobustnessEvaluator float_eval(*f.model);
+    float_eval.run(LinfNoiseModel(0.2), f.data, 3);
+    EXPECT_EQ(f.model->params()[0]->value[0], before);
+  });
 }
 
 TEST(RobustnessEvaluator, EachModeRejectsTheOtherFaultSpace) {
@@ -669,29 +699,32 @@ class FailingChipModel : public FaultModel {
 };
 
 TEST(RobustnessEvaluator, TrialExceptionReachesCallerAndEvaluatorRecovers) {
-  Fixture f;
-  const RobustnessEvaluator evaluator(*f.model, QuantScheme::rquant(8));
-  const FailingChipModel failing;
-  const auto expect_chip2_failure = [](const std::function<void()>& call) {
-    try {
-      call();
-      ADD_FAILURE() << "the failing trial did not throw";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "chip 2 failed");
-    }
-  };
-  expect_chip2_failure([&] { evaluator.run(failing, f.data, 4); });
-  expect_chip2_failure(
-      [&] { evaluator.run_rate_sweep(failing, {0.0, 0.01}, f.data, 4); });
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    const RobustnessEvaluator evaluator =
+        evaluator_in(mode, *f.model, QuantScheme::rquant(8));
+    const FailingChipModel failing;
+    const auto expect_chip2_failure = [](const std::function<void()>& call) {
+      try {
+        call();
+        ADD_FAILURE() << "the failing trial did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "chip 2 failed");
+      }
+    };
+    expect_chip2_failure([&] { evaluator.run(failing, f.data, 4); });
+    expect_chip2_failure(
+        [&] { evaluator.run_rate_sweep(failing, {0.0, 0.01}, f.data, 4); });
 
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel random(cfg);
-  const RobustResult after = evaluator.run(random, f.data, 4);
-  const RobustResult fresh =
-      RobustnessEvaluator(*f.model, QuantScheme::rquant(8)).run(random, f.data,
-                                                                4);
-  EXPECT_EQ(after.per_chip, fresh.per_chip);
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel random(cfg);
+    const RobustResult after = evaluator.run(random, f.data, 4);
+    const RobustResult fresh =
+        evaluator_in(mode, *f.model, QuantScheme::rquant(8))
+            .run(random, f.data, 4);
+    EXPECT_EQ(after.per_chip, fresh.per_chip);
+  });
 }
 
 TEST(EccProtectedModel, ComposesWithPersistentInnerModel) {

@@ -35,6 +35,10 @@
 namespace ber {
 namespace {
 
+using test::Mode;
+using test::for_each_mode;
+using test::kAllModes;
+
 NetSnapshot make_snapshot(std::size_t n_weights, int bits,
                           std::uint64_t seed = 1) {
   Rng rng(seed);
@@ -178,177 +182,189 @@ TEST(ForensicsLedger, ClassifyBitBoundaries) {
 // -------------------------------------------------- counter reconciliation --
 
 TEST(ForensicsCounters, LedgerReconcilesAcrossEvaluatorPaths) {
-  Fixture f;
-  RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
-  obs::Counter& counter = obs::registry().counter("faults.words_patched");
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f;
+    RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
+    ev.set_compute_on_codes(mode.on_codes);
+    obs::Counter& counter = obs::registry().counter("faults.words_patched");
 
-  // Each campaign: fresh ledger, bracket the words_patched counter, and the
-  // ledger's changed-word total must equal the counter delta exactly.
-  const auto campaign = [&](const std::function<void()>& run) {
+    // Each campaign: fresh ledger, bracket the words_patched counter, and the
+    // ledger's changed-word total must equal the counter delta exactly.
+    const auto campaign = [&](const std::function<void()>& run) {
+      obs::fault_ledger().clear();
+      obs::fault_ledger().set_enabled(true);
+      const std::uint64_t before = counter.value();
+      run();
+      obs::fault_ledger().set_enabled(false);
+      const std::uint64_t delta = counter.value() - before;
+      EXPECT_GT(delta, 0u);
+      EXPECT_EQ(obs::fault_ledger().totals().words_changed, delta);
+    };
+
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel random(cfg);
+    campaign([&] { ev.run(random, f.data, 3, 40); });
+    campaign(
+        [&] { ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 3, 40); });
+    const ProfiledChipModel profiled(ProfiledChipConfig::chip1(), 0.9);
+    campaign([&] { ev.run(profiled, f.data, 2, 40); });
+    const std::vector<double> rates{profiled.rate_at_voltage(1.0),
+                                    profiled.rate_at_voltage(0.9)};
+    campaign([&] { ev.run_rate_sweep(profiled, rates, f.data, 2, 40); });
+    const AdversarialBitErrorModel adversarial =
+        random_flip_model(ev.snapshot(), 30, 2, 99);
+    campaign([&] { ev.run(adversarial, f.data, 2, 40); });
     obs::fault_ledger().clear();
-    obs::fault_ledger().set_enabled(true);
-    const std::uint64_t before = counter.value();
-    run();
-    obs::fault_ledger().set_enabled(false);
-    const std::uint64_t delta = counter.value() - before;
-    EXPECT_GT(delta, 0u);
-    EXPECT_EQ(obs::fault_ledger().totals().words_changed, delta);
-  };
-
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel random(cfg);
-  campaign([&] { ev.run(random, f.data, 3, 40); });
-  campaign(
-      [&] { ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 3, 40); });
-  const ProfiledChipModel profiled(ProfiledChipConfig::chip1(), 0.9);
-  campaign([&] { ev.run(profiled, f.data, 2, 40); });
-  const std::vector<double> rates{profiled.rate_at_voltage(1.0),
-                                  profiled.rate_at_voltage(0.9)};
-  campaign([&] { ev.run_rate_sweep(profiled, rates, f.data, 2, 40); });
-  const AdversarialBitErrorModel adversarial =
-      random_flip_model(ev.snapshot(), 30, 2, 99);
-  campaign([&] { ev.run(adversarial, f.data, 2, 40); });
-  obs::fault_ledger().clear();
+  });
 }
 
 // ----------------------------------------------------------------- probes ---
 
 TEST(ForensicsProbes, DeterministicAcrossThreadCounts) {
-  Fixture f(60);
-  const QuantScheme scheme = QuantScheme::rquant(8);
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel random(cfg);
-  obs::Counter& counter = obs::registry().counter("faults.words_patched");
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f(60);
+    const QuantScheme scheme = QuantScheme::rquant(8);
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel random(cfg);
+    obs::Counter& counter = obs::registry().counter("faults.words_patched");
 
-  // default_threads() reads BER_THREADS on every call, so the worker count
-  // that claims the cells is swappable per campaign. `cells` is the number
-  // of probed trial tokens the campaign produces.
-  using Campaign = std::function<void(const RobustnessEvaluator&)>;
-  const auto run_with_threads = [&](const char* threads, const Campaign& run,
-                                    int cells) {
-    const test::ScopedThreadsEnv scoped(threads);
-    RobustnessEvaluator ev(*f.model, scheme);
+    // default_threads() reads BER_THREADS on every call, so the worker count
+    // that claims the cells is swappable per campaign. `cells` is the number
+    // of probed trial tokens the campaign produces.
+    using Campaign = std::function<void(const RobustnessEvaluator&)>;
+    const auto run_with_threads = [&](const char* threads, const Campaign& run,
+                                      int cells) {
+      const test::ScopedThreadsEnv scoped(threads);
+      RobustnessEvaluator ev(*f.model, scheme);
+      ev.set_compute_on_codes(mode.on_codes);
+      obs::fault_ledger().clear();
+      obs::fault_ledger().set_enabled(true);
+      obs::ForensicsOptions fo;
+      fo.probe_images = 16;
+      obs::ForensicsCollector collector(fo);
+      collector.prepare_probes(*f.model, ev.snapshot(), ev.compute_on_codes(),
+                               f.data);
+      EXPECT_TRUE(collector.probes_ready());
+      ev.set_forensics(&collector, "eval");
+      const std::uint64_t before = counter.value();
+      run(ev);
+      obs::fault_ledger().set_enabled(false);
+      const Json j = collector.to_json(counter.value() - before);
+      EXPECT_TRUE(j.at("counter_reconciles").as_bool());
+      EXPECT_EQ(j.at("profiles").at("eval").at("probes").at("trials").as_int(),
+                cells);
+      return j.dump(2);
+    };
+
+    const Campaign run = [&](const RobustnessEvaluator& ev) {
+      ev.run(random, f.data, 6, 30);
+    };
+    EXPECT_EQ(run_with_threads("1", run, 6), run_with_threads("4", run, 6));
+
+    // A 3-point sweep: 18 cells that 4 workers claim in no fixed order.
+    const Campaign sweep = [&](const RobustnessEvaluator& ev) {
+      ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 6, 30);
+    };
+    const std::string sweep_one = run_with_threads("1", sweep, 18);
+    EXPECT_EQ(sweep_one, run_with_threads("3", sweep, 18));
+    EXPECT_EQ(sweep_one, run_with_threads("4", sweep, 18));
     obs::fault_ledger().clear();
-    obs::fault_ledger().set_enabled(true);
-    obs::ForensicsOptions fo;
-    fo.probe_images = 16;
-    obs::ForensicsCollector collector(fo);
-    collector.prepare_probes(*f.model, ev.snapshot(), ev.compute_on_codes(),
-                             f.data);
-    EXPECT_TRUE(collector.probes_ready());
-    ev.set_forensics(&collector, "eval");
-    const std::uint64_t before = counter.value();
-    run(ev);
-    obs::fault_ledger().set_enabled(false);
-    const Json j = collector.to_json(counter.value() - before);
-    EXPECT_TRUE(j.at("counter_reconciles").as_bool());
-    EXPECT_EQ(j.at("profiles").at("eval").at("probes").at("trials").as_int(),
-              cells);
-    return j.dump(2);
-  };
-
-  const Campaign run = [&](const RobustnessEvaluator& ev) {
-    ev.run(random, f.data, 6, 30);
-  };
-  EXPECT_EQ(run_with_threads("1", run, 6), run_with_threads("4", run, 6));
-
-  // A 3-point sweep: 18 cells that 4 workers claim in no fixed order.
-  const Campaign sweep = [&](const RobustnessEvaluator& ev) {
-    ev.run_rate_sweep(random, {0.005, 0.01, 0.02}, f.data, 6, 30);
-  };
-  const std::string sweep_one = run_with_threads("1", sweep, 18);
-  EXPECT_EQ(sweep_one, run_with_threads("3", sweep, 18));
-  EXPECT_EQ(sweep_one, run_with_threads("4", sweep, 18));
-  obs::fault_ledger().clear();
+  });
 }
 
 TEST(ForensicsProbes, RunMatchesOnePointSweep) {
-  // run() is the one-point grid of the sweep's trial loop: the same trial
-  // tokens, so the same ledger rows, probe rows and per-trial errors.
-  Fixture f(60);
-  BitErrorConfig cfg;
-  cfg.p = 0.02;
-  const RandomBitErrorModel random(cfg);
-  obs::Counter& counter = obs::registry().counter("faults.words_patched");
-  const auto campaign =
-      [&](const std::function<void(const RobustnessEvaluator&)>& run) {
-        RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
-        obs::fault_ledger().clear();
-        obs::fault_ledger().set_enabled(true);
-        obs::ForensicsOptions fo;
-        fo.probe_images = 16;
-        obs::ForensicsCollector collector(fo);
-        collector.prepare_probes(*f.model, ev.snapshot(),
-                                 ev.compute_on_codes(), f.data);
-        ev.set_forensics(&collector, "eval");
-        const std::uint64_t before = counter.value();
-        run(ev);
-        obs::fault_ledger().set_enabled(false);
-        const Json j = collector.to_json(counter.value() - before);
-        EXPECT_TRUE(j.at("counter_reconciles").as_bool());
-        EXPECT_EQ(
-            j.at("profiles").at("eval").at("probes").at("trials").as_int(), 5);
-        return j.dump(2);
-      };
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    // run() is the one-point grid of the sweep's trial loop: the same trial
+    // tokens, so the same ledger rows, probe rows and per-trial errors.
+    Fixture f(60);
+    BitErrorConfig cfg;
+    cfg.p = 0.02;
+    const RandomBitErrorModel random(cfg);
+    obs::Counter& counter = obs::registry().counter("faults.words_patched");
+    const auto campaign =
+        [&](const std::function<void(const RobustnessEvaluator&)>& run) {
+          RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
+          ev.set_compute_on_codes(mode.on_codes);
+          obs::fault_ledger().clear();
+          obs::fault_ledger().set_enabled(true);
+          obs::ForensicsOptions fo;
+          fo.probe_images = 16;
+          obs::ForensicsCollector collector(fo);
+          collector.prepare_probes(*f.model, ev.snapshot(),
+                                   ev.compute_on_codes(), f.data);
+          ev.set_forensics(&collector, "eval");
+          const std::uint64_t before = counter.value();
+          run(ev);
+          obs::fault_ledger().set_enabled(false);
+          const Json j = collector.to_json(counter.value() - before);
+          EXPECT_TRUE(j.at("counter_reconciles").as_bool());
+          const Json& probes = j.at("profiles").at("eval").at("probes");
+          EXPECT_EQ(probes.at("trials").as_int(), 5);
+          return j.dump(2);
+        };
 
-  const std::string via_run = campaign(
-      [&](const RobustnessEvaluator& ev) { ev.run(random, f.data, 5, 30); });
-  const std::string via_sweep = campaign([&](const RobustnessEvaluator& ev) {
-    ev.run_rate_sweep(random, {cfg.p}, f.data, 5, 30);
+    const std::string via_run = campaign(
+        [&](const RobustnessEvaluator& ev) { ev.run(random, f.data, 5, 30); });
+    const std::string via_sweep = campaign([&](const RobustnessEvaluator& ev) {
+      ev.run_rate_sweep(random, {cfg.p}, f.data, 5, 30);
+    });
+    EXPECT_EQ(via_run, via_sweep);
+    obs::fault_ledger().clear();
   });
-  EXPECT_EQ(via_run, via_sweep);
-  obs::fault_ledger().clear();
 }
 
 // ------------------------------------------------------------- attribution --
 
 TEST(ForensicsAttribution, AdversarialSeparatesFromRandomControl) {
-  Fixture f(60);
-  RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
-  const NetSnapshot& layout = ev.snapshot();
-  const int bits = layout.tensors[0].scheme.bits;
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Fixture f(60);
+    RobustnessEvaluator ev(*f.model, QuantScheme::rquant(8));
+    ev.set_compute_on_codes(mode.on_codes);
+    const NetSnapshot& layout = ev.snapshot();
+    const int bits = layout.tensors[0].scheme.bits;
 
-  // A worst-case-shaped attack: every flip on the sign/MSB of tensor 0 —
-  // the profile Sec. 5.1's gradient attacks converge to.
-  std::vector<std::vector<BitFlip>> attack_trials(2);
-  for (std::uint32_t t = 0; t < 2; ++t) {
-    for (std::uint32_t i = 0; i < 24; ++i) {
-      attack_trials[t].push_back(
-          {0, i * 7 + t, static_cast<std::uint8_t>(bits - 1)});
+    // A worst-case-shaped attack: every flip on the sign/MSB of tensor 0 —
+    // the profile Sec. 5.1's gradient attacks converge to.
+    std::vector<std::vector<BitFlip>> attack_trials(2);
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      for (std::uint32_t i = 0; i < 24; ++i) {
+        attack_trials[t].push_back(
+            {0, i * 7 + t, static_cast<std::uint8_t>(bits - 1)});
+      }
     }
-  }
-  const AdversarialBitErrorModel attack(std::move(attack_trials), "msb-test");
-  const AdversarialBitErrorModel control =
-      random_flip_model(layout, 24, 2, 777);
+    const AdversarialBitErrorModel attack(std::move(attack_trials), "msb-test");
+    const AdversarialBitErrorModel control =
+        random_flip_model(layout, 24, 2, 777);
 
-  obs::fault_ledger().clear();
-  obs::fault_ledger().set_enabled(true);
-  obs::ForensicsOptions fo;
-  obs::ForensicsCollector collector(fo);
-  obs::Counter& counter = obs::registry().counter("faults.words_patched");
-  const std::uint64_t before = counter.value();
-  ev.set_forensics(&collector, "eval");
-  ev.run(attack, f.data, 2, 30);
-  ev.set_forensics(&collector, "control");
-  ev.run(control, f.data, 2, 30);
-  ev.set_forensics(nullptr);
-  obs::fault_ledger().set_enabled(false);
+    obs::fault_ledger().clear();
+    obs::fault_ledger().set_enabled(true);
+    obs::ForensicsOptions fo;
+    obs::ForensicsCollector collector(fo);
+    obs::Counter& counter = obs::registry().counter("faults.words_patched");
+    const std::uint64_t before = counter.value();
+    ev.set_forensics(&collector, "eval");
+    ev.run(attack, f.data, 2, 30);
+    ev.set_forensics(&collector, "control");
+    ev.run(control, f.data, 2, 30);
+    ev.set_forensics(nullptr);
+    obs::fault_ledger().set_enabled(false);
 
-  const Json j = collector.to_json(counter.value() - before);
-  EXPECT_TRUE(j.at("counter_reconciles").as_bool());
-  const Json& eval_p = j.at("profiles").at("eval");
-  const Json& ctrl_p = j.at("profiles").at("control");
-  EXPECT_EQ(eval_p.at("trials").as_int(), 2);
-  EXPECT_EQ(ctrl_p.at("trials").as_int(), 2);
-  // The attack's flip mass sits entirely in the MSB class of one tensor;
-  // the budget-matched random control spreads across bits and tensors.
-  EXPECT_DOUBLE_EQ(eval_p.at("msb_fraction").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(eval_p.at("top_tensor_fraction").as_number(), 1.0);
-  EXPECT_LT(ctrl_p.at("msb_fraction").as_number(), 0.5);
-  EXPECT_LT(ctrl_p.at("top_tensor_fraction").as_number(), 1.0);
-  obs::fault_ledger().clear();
+    const Json j = collector.to_json(counter.value() - before);
+    EXPECT_TRUE(j.at("counter_reconciles").as_bool());
+    const Json& eval_p = j.at("profiles").at("eval");
+    const Json& ctrl_p = j.at("profiles").at("control");
+    EXPECT_EQ(eval_p.at("trials").as_int(), 2);
+    EXPECT_EQ(ctrl_p.at("trials").as_int(), 2);
+    // The attack's flip mass sits entirely in the MSB class of one tensor;
+    // the budget-matched random control spreads across bits and tensors.
+    EXPECT_DOUBLE_EQ(eval_p.at("msb_fraction").as_number(), 1.0);
+    EXPECT_DOUBLE_EQ(eval_p.at("top_tensor_fraction").as_number(), 1.0);
+    EXPECT_LT(ctrl_p.at("msb_fraction").as_number(), 0.5);
+    EXPECT_LT(ctrl_p.at("top_tensor_fraction").as_number(), 1.0);
+    obs::fault_ledger().clear();
+  });
 }
 
 // ---------------------------------------------------------- replay ledger --

@@ -22,6 +22,9 @@ using kernels::Backend;
 using kernels::BlockedBackend;
 using kernels::QEpilogue;
 using kernels::QWeightView;
+using test::for_each_mode;
+using test::kBackendModes;
+using test::Mode;
 
 std::vector<float> random_values(long n, Rng& rng, float scale = 0.2f) {
   std::vector<float> v(static_cast<std::size_t>(n));
@@ -363,23 +366,25 @@ TEST(CodeCompute, LinearForwardOnCodesBitExactOnReference) {
 }
 
 TEST(CodeCompute, TrainingForwardDropsAdoptedCodes) {
-  Rng rng(132);
-  Linear linear(4, 3);
-  for (Param* p : linear.params()) {
-    for (long i = 0; i < p->value.numel(); ++i) {
-      p->value[i] = rng.normal() * 0.3f;
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Rng rng(132);
+    Linear linear(4, 3);
+    for (Param* p : linear.params()) {
+      for (long i = 0; i < p->value.numel(); ++i) {
+        p->value[i] = rng.normal() * 0.3f;
+      }
     }
-  }
-  Param* weight = linear.params()[0];
-  const QuantizedTensor qt = quantize(
-      std::span<const float>(weight->value.data(),
-                             static_cast<std::size_t>(weight->value.numel())),
-      QuantScheme::rquant(8));
-  linear.adopt_weight_codes(qt);
-  EXPECT_TRUE(linear.code_compute_active());
-  Tensor x = Tensor::randn({2, 4}, rng);
-  linear.forward(x, /*training=*/true);
-  EXPECT_FALSE(linear.code_compute_active());
+    Param* weight = linear.params()[0];
+    const QuantizedTensor qt = quantize(
+        std::span<const float>(weight->value.data(),
+                               static_cast<std::size_t>(weight->value.numel())),
+        QuantScheme::rquant(8));
+    linear.adopt_weight_codes(qt);
+    EXPECT_TRUE(linear.code_compute_active());
+    Tensor x = Tensor::randn({2, 4}, rng);
+    linear.forward(x, /*training=*/true);
+    EXPECT_FALSE(linear.code_compute_active());
+  });
 }
 
 // One deploy_snapshot-driven end-to-end parity check per architecture: the
@@ -459,46 +464,50 @@ TEST(CodeCompute, BlockedForwardTracksReferenceWithinTolerance) {
 // ------------------------------------------------- arena-backed forwards ---
 
 TEST(ArenaActivations, InferenceForwardAllocatesFromArenaAndConverges) {
-  Rng rng(151);
-  ModelConfig mc;
-  mc.width = 4;
-  auto model = build_model(mc);
-  he_init(*model, rng);
-  Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Rng rng(151);
+    ModelConfig mc;
+    mc.width = 4;
+    auto model = build_model(mc);
+    he_init(*model, rng);
+    Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
 
-  Tensor y0 = model->forward(x, false);
-  const std::size_t bytes = model->last_forward_arena_bytes();
-  EXPECT_GT(bytes, 0u);  // activations really lived in the arena
-  model->forward(x, false);
-  const std::size_t cap = kernels::tls_arena().capacity();
-  const std::size_t chunks = kernels::tls_arena().chunk_count();
-  for (int i = 0; i < 4; ++i) {
-    Tensor y = model->forward(x, false);
-    // Steady state: same per-forward arena footprint, no new allocations,
-    // and identical results (the heap copy outlives the arena scope).
-    EXPECT_EQ(model->last_forward_arena_bytes(), bytes);
-    for (long j = 0; j < y.numel(); ++j) ASSERT_EQ(y[j], y0[j]);
-  }
-  EXPECT_EQ(kernels::tls_arena().capacity(), cap)
-      << "inference forwards kept growing the arena";
-  EXPECT_EQ(kernels::tls_arena().chunk_count(), chunks);
+    Tensor y0 = model->forward(x, false);
+    const std::size_t bytes = model->last_forward_arena_bytes();
+    EXPECT_GT(bytes, 0u);  // activations really lived in the arena
+    model->forward(x, false);
+    const std::size_t cap = kernels::tls_arena().capacity();
+    const std::size_t chunks = kernels::tls_arena().chunk_count();
+    for (int i = 0; i < 4; ++i) {
+      Tensor y = model->forward(x, false);
+      // Steady state: same per-forward arena footprint, no new allocations,
+      // and identical results (the heap copy outlives the arena scope).
+      EXPECT_EQ(model->last_forward_arena_bytes(), bytes);
+      for (long j = 0; j < y.numel(); ++j) ASSERT_EQ(y[j], y0[j]);
+    }
+    EXPECT_EQ(kernels::tls_arena().capacity(), cap)
+        << "inference forwards kept growing the arena";
+    EXPECT_EQ(kernels::tls_arena().chunk_count(), chunks);
+  });
 }
 
 TEST(ArenaActivations, TrainingForwardStaysOnHeap) {
-  Rng rng(152);
-  ModelConfig mc;
-  mc.arch = Arch::kMlp;
-  mc.in_channels = 1;
-  mc.width = 8;
-  auto model = build_model(mc);
-  he_init(*model, rng);
-  Tensor x = Tensor::randn({2, 1, 12, 12}, rng);
-  model->forward(x, false);
-  const std::size_t inference_bytes = model->last_forward_arena_bytes();
-  EXPECT_GT(inference_bytes, 0u);
-  model->forward(x, true);  // training: no arena accounting
-  EXPECT_EQ(model->last_forward_arena_bytes(), inference_bytes)
-      << "training forward must not touch the inference arena meter";
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Rng rng(152);
+    ModelConfig mc;
+    mc.arch = Arch::kMlp;
+    mc.in_channels = 1;
+    mc.width = 8;
+    auto model = build_model(mc);
+    he_init(*model, rng);
+    Tensor x = Tensor::randn({2, 1, 12, 12}, rng);
+    model->forward(x, false);
+    const std::size_t inference_bytes = model->last_forward_arena_bytes();
+    EXPECT_GT(inference_bytes, 0u);
+    model->forward(x, true);  // training: no arena accounting
+    EXPECT_EQ(model->last_forward_arena_bytes(), inference_bytes)
+        << "training forward must not touch the inference arena meter";
+  });
 }
 
 // The ping-pong bound: layer i writes its output and scratch over the
@@ -704,21 +713,23 @@ TEST(DeltaRedeploy, CodeModeForwardMatchesWeightSpaceOnReference) {
 }
 
 TEST(DeltaRedeploy, PoolStatsAggregateDeployCounters) {
-  DeployRig rig(165);
-  std::vector<Replica> fleet;
-  fleet.push_back(rig.replica(0, 1, false));
-  fleet.push_back(rig.replica(1, 1, false));
-  fleet[0].deploy(2);  // one delta before the pool takes ownership
-  const unsigned long long expect_bytes =
-      fleet[0].deploy_stats().bytes_written +
-      fleet[1].deploy_stats().bytes_written;
-  ReplicaPool pool(std::move(fleet), {/*max_batch=*/8, /*max_wait_us=*/100});
-  pool.drain();
-  const ServingStats s = pool.stats();
-  EXPECT_EQ(s.deploys, 3);        // two constructor deploys + one delta
-  EXPECT_EQ(s.delta_deploys, 1);
-  EXPECT_EQ(s.noop_deploys, 0);
-  EXPECT_EQ(s.deploy_bytes, expect_bytes);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    DeployRig rig(165);
+    std::vector<Replica> fleet;
+    fleet.push_back(rig.replica(0, 1, false));
+    fleet.push_back(rig.replica(1, 1, false));
+    fleet[0].deploy(2);  // one delta before the pool takes ownership
+    const unsigned long long expect_bytes =
+        fleet[0].deploy_stats().bytes_written +
+        fleet[1].deploy_stats().bytes_written;
+    ReplicaPool pool(std::move(fleet), {/*max_batch=*/8, /*max_wait_us=*/100});
+    pool.drain();
+    const ServingStats s = pool.stats();
+    EXPECT_EQ(s.deploys, 3);        // two constructor deploys + one delta
+    EXPECT_EQ(s.delta_deploys, 1);
+    EXPECT_EQ(s.noop_deploys, 0);
+    EXPECT_EQ(s.deploy_bytes, expect_bytes);
+  });
 }
 
 // ------------------------------------------------ evaluator on the codes ---
@@ -740,8 +751,7 @@ TEST(EvaluatorOnCodes, ReferenceRunIsBitExactWithWeightSpace) {
 
   kernels::ScopedBackend g("reference");
   RobustnessEvaluator ev(*model, QuantScheme::rquant(8));
-  EXPECT_FALSE(ev.compute_on_codes() &&
-               std::getenv("BER_COMPUTE_ON_CODES") == nullptr);
+  EXPECT_FALSE(ev.compute_on_codes());
   ev.set_compute_on_codes(false);
   const RobustResult weight_space = ev.run(fault, data, /*n_trials=*/3);
   ev.set_compute_on_codes(true);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "biterror/injector.h"
 #include "data/shapes.h"
@@ -12,13 +14,16 @@
 #include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "serve/checkpoint.h"
+#include "test_util.h"
 #include "train/trainer.h"
 
 namespace ber {
 namespace {
 
-// Shared miniature task; trained models are cached across tests in this
-// binary to keep runtime low.
+using test::Mode;
+
+// Shared miniature task; each backend's trained models are cached across
+// tests in this binary to keep runtime low.
 // Miniature CIFAR10-analog task with a small GN CNN — the same architecture
 // family as the paper's experiments, so the clipping robustness mechanism
 // (normalization absorbs the scale constraint) applies.
@@ -48,52 +53,76 @@ Mini& mini() {
   return m;
 }
 
-Sequential& rquant_model() {
-  static std::unique_ptr<Sequential> model = [] {
-    auto m = build_model(mini().model_cfg);
-    train(*m, mini().train_set, mini().test_set, mini().base());
-    return m;
-  }();
+// Trained models by backend name.
+using ModelCache = std::map<std::string, std::unique_ptr<Sequential>>;
+
+// The model trained with `tc` on `backend`, trained on first use.
+Sequential& trained_model(const std::string& backend, const TrainConfig& tc,
+                          ModelCache& cache) {
+  std::unique_ptr<Sequential>& model = cache[backend];
+  if (!model) {
+    const kernels::ScopedBackend scoped(backend);
+    model = build_model(mini().model_cfg);
+    train(*model, mini().train_set, mini().test_set, tc);
+  }
   return *model;
 }
 
-Sequential& clipped_model() {
-  static std::unique_ptr<Sequential> model = [] {
-    auto m = build_model(mini().model_cfg);
-    TrainConfig tc = mini().base();
-    tc.method = Method::kClipping;
-    tc.wmax = 0.15f;
-    train(*m, mini().train_set, mini().test_set, tc);
-    return m;
-  }();
-  return *model;
+Sequential& rquant_model(const std::string& backend) {
+  static ModelCache cache;
+  return trained_model(backend, mini().base(), cache);
 }
 
-// RErr of `model` under uniform random bit errors at rate p, averaged over
-// `n_chips` chips (seeds 1000, 1001, ...).
-RobustResult random_rerr(Sequential& model, const QuantScheme& scheme,
-                         double p, int n_chips) {
-  BitErrorConfig cfg;
-  cfg.p = p;
-  return RobustnessEvaluator(model, scheme)
-      .run(RandomBitErrorModel(cfg), mini().test_set, n_chips);
+Sequential& clipped_model(const std::string& backend) {
+  static ModelCache cache;
+  TrainConfig tc = mini().base();
+  tc.method = Method::kClipping;
+  tc.wmax = 0.15f;
+  return trained_model(backend, tc, cache);
 }
 
-TEST(Integration, TrainingReachesLowError) {
-  const float err = test_error(rquant_model(), mini().test_set);
+// Each instance runs in the mode it is named after: the fixture scopes the
+// backend, and code-space trials deploy on the code words when the mode
+// says so. A mode's models are trained on its backend; the on-codes
+// instances reuse the blocked ones.
+class Integration : public ::testing::TestWithParam<Mode> {
+ protected:
+  const Mode& mode() const { return GetParam(); }
+  Sequential& rquant() { return rquant_model(mode().backend); }
+  Sequential& clipped() { return clipped_model(mode().backend); }
+
+  // RErr of `model` under uniform random bit errors at rate p, averaged
+  // over `n_chips` chips (seeds 1000, 1001, ...).
+  RobustResult random_rerr(Sequential& model, const QuantScheme& scheme,
+                           double p, int n_chips) const {
+    BitErrorConfig cfg;
+    cfg.p = p;
+    return test::evaluator_in(mode(), model, scheme)
+        .run(RandomBitErrorModel(cfg), mini().test_set, n_chips);
+  }
+
+ private:
+  const kernels::ScopedBackend backend_{GetParam().backend};
+};
+
+// Float evaluation only: its instances are the two backends.
+using IntegrationTraining = Integration;
+
+TEST_P(IntegrationTraining, TrainingReachesLowError) {
+  const float err = test_error(rquant(), mini().test_set);
   EXPECT_LT(err, 0.35f);  // miniature budget; chance would be 0.9
 }
 
-TEST(Integration, RobustErrorAtLeastCleanError) {
-  Sequential& model = rquant_model();
+TEST_P(Integration, RobustErrorAtLeastCleanError) {
+  Sequential& model = rquant();
   const QuantScheme scheme = QuantScheme::rquant(8);
   const float clean = test_error(model, mini().test_set, &scheme);
   const RobustResult r = random_rerr(model, scheme, 0.01, 6);
   EXPECT_GE(r.mean_rerr, clean - 0.01f);
 }
 
-TEST(Integration, RobustErrorGrowsWithRate) {
-  Sequential& model = rquant_model();
+TEST_P(Integration, RobustErrorGrowsWithRate) {
+  Sequential& model = rquant();
   const QuantScheme scheme = QuantScheme::rquant(8);
   std::vector<float> rerrs;
   for (double p : {0.001, 0.01, 0.05}) {
@@ -104,10 +133,10 @@ TEST(Integration, RobustErrorGrowsWithRate) {
   EXPECT_GT(rerrs[2], rerrs[0]);  // clear growth over two decades
 }
 
-TEST(Integration, GlobalQuantizationFarLessRobust) {
+TEST_P(Integration, GlobalQuantizationFarLessRobust) {
   // Tab. 1 row 1 vs row 2: one global range makes moderate bit error rates
   // catastrophic, per-tensor ranges contain the damage.
-  Sequential& model = rquant_model();
+  Sequential& model = rquant();
   const RobustResult global =
       random_rerr(model, QuantScheme::global_symmetric(8), 0.005, 6);
   const RobustResult per_tensor =
@@ -115,26 +144,26 @@ TEST(Integration, GlobalQuantizationFarLessRobust) {
   EXPECT_GT(global.mean_rerr, per_tensor.mean_rerr + 0.05f);
 }
 
-TEST(Integration, ClippingImprovesHighRateRobustness) {
+TEST_P(Integration, ClippingImprovesHighRateRobustness) {
   // Sec. 5.2: weight clipping reduces the DAMAGE bit errors cause. At
   // miniature training budgets clipping costs some clean accuracy, so the
   // paper-faithful assertion is on the degradation RErr - Err, which
   // clipping must shrink.
   const QuantScheme scheme = QuantScheme::rquant(8);
-  const float plain_clean = test_error(rquant_model(), mini().test_set, &scheme);
-  const float clip_clean = test_error(clipped_model(), mini().test_set, &scheme);
-  const RobustResult plain = random_rerr(rquant_model(), scheme, 0.01, 8);
-  const RobustResult clipped = random_rerr(clipped_model(), scheme, 0.01, 8);
+  const float plain_clean = test_error(rquant(), mini().test_set, &scheme);
+  const float clip_clean = test_error(clipped(), mini().test_set, &scheme);
+  const RobustResult plain = random_rerr(rquant(), scheme, 0.01, 8);
+  const RobustResult clip = random_rerr(clipped(), scheme, 0.01, 8);
   const float plain_damage = plain.mean_rerr - plain_clean;
-  const float clip_damage = clipped.mean_rerr - clip_clean;
+  const float clip_damage = clip.mean_rerr - clip_clean;
   EXPECT_LT(clip_damage, plain_damage);
   // Clean accuracy must not collapse from clipping.
   EXPECT_LT(clip_clean, 0.45f);
 }
 
-TEST(Integration, SaveLoadPreservesRobustnessExactly) {
+TEST_P(Integration, SaveLoadPreservesRobustnessExactly) {
   const std::string path = testing::TempDir() + "/ber_integration_model.bin";
-  Sequential& model = rquant_model();
+  Sequential& model = rquant();
   const QuantScheme scheme = QuantScheme::rquant(8);
   save_checkpoint(path, model, scheme);
   auto fresh = build_model(mini().model_cfg);
@@ -145,12 +174,13 @@ TEST(Integration, SaveLoadPreservesRobustnessExactly) {
   std::remove(path.c_str());
 }
 
-TEST(Integration, LowerVoltageMeansHigherRErrOnProfiledChip) {
-  Sequential& model = rquant_model();
+TEST_P(Integration, LowerVoltageMeansHigherRErrOnProfiledChip) {
+  Sequential& model = rquant();
   ProfiledChipConfig cc = ProfiledChipConfig::chip1();
   cc.rows = 1024;
   ProfiledChip chip(cc);
-  const RobustnessEvaluator evaluator(model, QuantScheme::rquant(8));
+  const RobustnessEvaluator evaluator =
+      test::evaluator_in(mode(), model, QuantScheme::rquant(8));
   const RobustResult hi =
       evaluator.run(ProfiledChipModel(chip, 0.92), mini().test_set, 3);
   const RobustResult lo =
@@ -158,6 +188,13 @@ TEST(Integration, LowerVoltageMeansHigherRErrOnProfiledChip) {
   EXPECT_GE(lo.mean_rerr, hi.mean_rerr - 0.02f);
   EXPECT_GT(lo.mean_rerr, 0.3f);  // 0.80 Vmin is ~2% bit errors: damaging
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, IntegrationTraining,
+                         ::testing::ValuesIn(test::kBackendModes),
+                         test::mode_name);
+INSTANTIATE_TEST_SUITE_P(Modes, Integration,
+                         ::testing::ValuesIn(test::kAllModes),
+                         test::mode_name);
 
 }  // namespace
 }  // namespace ber

@@ -1,10 +1,10 @@
-// Tests for the src/kernels/ compute-backend subsystem: registry + env
-// selection, scratch arena reuse, blocked-vs-reference GEMM parity on
-// odd/edge shapes, threaded-GEMM determinism (square and skinny training
-// shapes) and warm worker arenas, batch-coalesced convolution
+// Tests for the src/kernels/ compute-backend subsystem: registry, default
+// and scoped selection, scratch arena reuse, blocked-vs-reference GEMM
+// parity on odd/edge shapes, threaded-GEMM determinism (square and skinny
+// training shapes) and warm worker arenas, batch-coalesced convolution
 // parity (forward and backward), the implicit-GEMM conv's bit identity with
-// the explicit column lowering, per-model backend preferences, and the
-// inference-mode / clone backward-cache release.
+// the explicit column lowering, and the inference-mode / clone
+// backward-cache release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,9 @@ namespace {
 using namespace ber;
 using kernels::Backend;
 using kernels::BlockedBackend;
+using test::for_each_mode;
+using test::kBackendModes;
+using test::Mode;
 
 // Normwise relative error: max |got - want| over the magnitude of the
 // expected result (floored at 1). The standard GEMM-verification metric —
@@ -37,28 +40,6 @@ float max_rel_err(const Tensor& got, const Tensor& want) {
 }
 
 // ----------------------------------------------------------- registry ---
-
-// Restores BER_BACKEND and the latched process default on destruction, so
-// tests that poke the registry don't leak state — in particular the CI leg
-// that runs this whole suite under BER_BACKEND=blocked must still see the
-// blocked default in later tests.
-struct DefaultBackendRestore {
-  std::string env;
-  bool had_env;
-  DefaultBackendRestore() {
-    const char* e = std::getenv("BER_BACKEND");
-    had_env = e != nullptr;
-    if (e) env = e;
-  }
-  ~DefaultBackendRestore() {
-    if (had_env) {
-      setenv("BER_BACKEND", env.c_str(), 1);
-    } else {
-      unsetenv("BER_BACKEND");
-    }
-    kernels::detail::refresh_default_from_env();
-  }
-};
 
 TEST(BackendRegistry, BuiltinsRegistered) {
   const auto names = kernels::backend_names();
@@ -76,7 +57,10 @@ TEST(BackendRegistry, UnknownNameThrows) {
 }
 
 TEST(BackendRegistry, DefaultAndScopedOverride) {
-  const DefaultBackendRestore restore;
+  // The process default is reference until a caller names another.
+  EXPECT_EQ(kernels::default_backend().name(), "reference");
+  kernels::set_default_backend("blocked");
+  EXPECT_EQ(kernels::current_backend().name(), "blocked");
   kernels::set_default_backend("reference");
   EXPECT_EQ(kernels::current_backend().name(), "reference");
   {
@@ -89,21 +73,6 @@ TEST(BackendRegistry, DefaultAndScopedOverride) {
     EXPECT_EQ(kernels::current_backend().name(), "blocked");
   }
   EXPECT_EQ(kernels::current_backend().name(), "reference");
-}
-
-TEST(BackendRegistry, EnvOverrideSelectsAndValidates) {
-  const DefaultBackendRestore restore;
-  ASSERT_EQ(setenv("BER_BACKEND", "blocked", 1), 0);
-  kernels::detail::refresh_default_from_env();
-  EXPECT_EQ(kernels::default_backend().name(), "blocked");
-
-  ASSERT_EQ(setenv("BER_BACKEND", "no-such-backend", 1), 0);
-  EXPECT_THROW(kernels::detail::refresh_default_from_env(),
-               std::invalid_argument);
-
-  ASSERT_EQ(unsetenv("BER_BACKEND"), 0);
-  kernels::detail::refresh_default_from_env();
-  EXPECT_EQ(kernels::default_backend().name(), "reference");
 }
 
 // -------------------------------------------------------------- arena ---
@@ -633,53 +602,60 @@ TEST(BackendIntegration, EvaluatorMatchesAcrossBackendsWithinTolerance) {
   cfg.p = 0.005;
   const RandomBitErrorModel fault(cfg, /*seed_base=*/7);
 
-  RobustResult r_ref, r_blk;
-  {
-    kernels::ScopedBackend g("reference");
-    RobustnessEvaluator ev(*model, QuantScheme::rquant(8));
-    r_ref = ev.run(fault, data, /*n_trials=*/3);
+  for (const bool on_codes : {false, true}) {
+    SCOPED_TRACE(on_codes ? "on_codes" : "weight_space");
+    RobustResult r_ref, r_blk;
+    {
+      kernels::ScopedBackend g("reference");
+      RobustnessEvaluator ev(*model, QuantScheme::rquant(8));
+      ev.set_compute_on_codes(on_codes);
+      r_ref = ev.run(fault, data, /*n_trials=*/3);
+    }
+    {
+      // The evaluator must propagate the caller's scoped choice onto its
+      // worker threads.
+      kernels::ScopedBackend g("blocked");
+      RobustnessEvaluator ev(*model, QuantScheme::rquant(8));
+      ev.set_compute_on_codes(on_codes);
+      r_blk = ev.run(fault, data, /*n_trials=*/3);
+    }
+    // Error rates are means over >= 64 images; kernel reassociation moves
+    // logits by ~1e-6, which only flips predictions on razor-thin argmax
+    // ties. Allow one image of slack per trial.
+    EXPECT_NEAR(r_blk.mean_rerr, r_ref.mean_rerr, 1.0f / 64.0f + 1e-6f);
   }
-  {
-    // The evaluator must propagate the caller's scoped choice onto its
-    // worker threads.
-    kernels::ScopedBackend g("blocked");
-    RobustnessEvaluator ev(*model, QuantScheme::rquant(8));
-    r_blk = ev.run(fault, data, /*n_trials=*/3);
-  }
-  // Error rates are means over >= 64 images; kernel reassociation moves
-  // logits by ~1e-6, which only flips predictions on razor-thin argmax
-  // ties. Allow one image of slack per trial.
-  EXPECT_NEAR(r_blk.mean_rerr, r_ref.mean_rerr, 1.0f / 64.0f + 1e-6f);
 }
 
 // ------------------------------------------------ inference caches ---
 
 TEST(InferenceCaches, ConvAndLinearReleaseBackwardCaches) {
-  Rng rng(41);
-  Conv2d conv(3, 8, 3, 1, 1);
-  Linear linear(12, 5);
-  Tensor x = Tensor::randn({6, 3, 8, 8}, rng);
-  Tensor xl = Tensor::randn({6, 12}, rng);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Rng rng(41);
+    Conv2d conv(3, 8, 3, 1, 1);
+    Linear linear(12, 5);
+    Tensor x = Tensor::randn({6, 3, 8, 8}, rng);
+    Tensor xl = Tensor::randn({6, 12}, rng);
 
-  conv.forward(x, true);
-  linear.forward(xl, true);
-  EXPECT_GT(conv.cached_bytes(), 0);
-  EXPECT_GT(linear.cached_bytes(), 0);
+    conv.forward(x, true);
+    linear.forward(xl, true);
+    EXPECT_GT(conv.cached_bytes(), 0);
+    EXPECT_GT(linear.cached_bytes(), 0);
 
-  // Cloning a just-trained layer copies no backward cache (evaluator
-  // workers and serving replicas never carry stale activations), and
-  // backward on the clone reports the missing forward.
-  Conv2d conv_clone = conv;
-  Linear linear_clone = linear;
-  EXPECT_EQ(conv_clone.cached_bytes(), 0);
-  EXPECT_EQ(linear_clone.cached_bytes(), 0);
-  EXPECT_THROW(conv_clone.backward(Tensor({6, 8, 8, 8})), std::logic_error);
-  EXPECT_THROW(linear_clone.backward(Tensor({6, 5})), std::logic_error);
+    // Cloning a just-trained layer copies no backward cache (evaluator
+    // workers and serving replicas never carry stale activations), and
+    // backward on the clone reports the missing forward.
+    Conv2d conv_clone = conv;
+    Linear linear_clone = linear;
+    EXPECT_EQ(conv_clone.cached_bytes(), 0);
+    EXPECT_EQ(linear_clone.cached_bytes(), 0);
+    EXPECT_THROW(conv_clone.backward(Tensor({6, 8, 8, 8})), std::logic_error);
+    EXPECT_THROW(linear_clone.backward(Tensor({6, 5})), std::logic_error);
 
-  conv.forward(x, false);
-  linear.forward(xl, false);
-  EXPECT_EQ(conv.cached_bytes(), 0);
-  EXPECT_EQ(linear.cached_bytes(), 0);
+    conv.forward(x, false);
+    linear.forward(xl, false);
+    EXPECT_EQ(conv.cached_bytes(), 0);
+    EXPECT_EQ(linear.cached_bytes(), 0);
+  });
 }
 
 }  // namespace

@@ -16,9 +16,12 @@
 namespace ber {
 namespace {
 
+using test::Mode;
 using test::backward_step;
 using test::expect_thread_invariant;
+using test::for_each_mode;
 using test::gradcheck_layer;
+using test::kBackendModes;
 using test::same_step;
 using test::train_step;
 
@@ -37,15 +40,19 @@ void rand_params(Layer& layer, std::uint64_t seed = 2) {
 }
 
 TEST(Conv2d, ForwardShape) {
-  Conv2d conv(3, 8, 3, 1, 1);
-  Tensor y = conv.forward(rand_input({2, 3, 12, 12}), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{2, 8, 12, 12}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(3, 8, 3, 1, 1);
+    Tensor y = conv.forward(rand_input({2, 3, 12, 12}), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{2, 8, 12, 12}));
+  });
 }
 
 TEST(Conv2d, NoPadShrinks) {
-  Conv2d conv(1, 2, 3, 1, 0);
-  Tensor y = conv.forward(rand_input({1, 1, 5, 5}), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{1, 2, 3, 3}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(1, 2, 3, 1, 0);
+    Tensor y = conv.forward(rand_input({1, 1, 5, 5}), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{1, 2, 3, 3}));
+  });
 }
 
 TEST(Conv2d, RejectsWrongChannelCount) {
@@ -55,48 +62,60 @@ TEST(Conv2d, RejectsWrongChannelCount) {
 }
 
 TEST(Conv2d, IdentityKernelReproducesInput) {
-  Conv2d conv(1, 1, 3, 1, 1);
-  for (Param* p : conv.params()) p->value.zero();
-  conv.params()[0]->value.at(0, 0, 1, 1) = 1.0f;  // center tap
-  Tensor x = rand_input({1, 1, 6, 6});
-  Tensor y = conv.forward(x, false);
-  for (long i = 0; i < x.numel(); ++i) EXPECT_NEAR(y[i], x[i], 1e-6f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(1, 1, 3, 1, 1);
+    for (Param* p : conv.params()) p->value.zero();
+    conv.params()[0]->value.at(0, 0, 1, 1) = 1.0f;  // center tap
+    Tensor x = rand_input({1, 1, 6, 6});
+    Tensor y = conv.forward(x, false);
+    for (long i = 0; i < x.numel(); ++i) EXPECT_NEAR(y[i], x[i], 1e-6f);
+  });
 }
 
 TEST(Conv2d, BiasAddsConstant) {
-  Conv2d conv(1, 1, 3, 1, 1);
-  for (Param* p : conv.params()) p->value.zero();
-  conv.params()[1]->value[0] = 2.5f;
-  Tensor y = conv.forward(Tensor::zeros({1, 1, 4, 4}), false);
-  for (long i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], 2.5f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(1, 1, 3, 1, 1);
+    for (Param* p : conv.params()) p->value.zero();
+    conv.params()[1]->value[0] = 2.5f;
+    Tensor y = conv.forward(Tensor::zeros({1, 1, 4, 4}), false);
+    for (long i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], 2.5f);
+  });
 }
 
 TEST(Conv2d, Gradcheck) {
-  Conv2d conv(2, 3, 3, 1, 1);
-  rand_params(conv);
-  gradcheck_layer(conv, rand_input({2, 2, 5, 5}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(2, 3, 3, 1, 1);
+    rand_params(conv);
+    gradcheck_layer(conv, rand_input({2, 2, 5, 5}));
+  });
 }
 
 TEST(Conv2d, GradcheckStride2NoBias) {
-  Conv2d conv(2, 2, 2, 2, 0, /*bias=*/false);
-  rand_params(conv);
-  EXPECT_EQ(conv.params().size(), 1u);
-  gradcheck_layer(conv, rand_input({1, 2, 4, 4}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Conv2d conv(2, 2, 2, 2, 0, /*bias=*/false);
+    rand_params(conv);
+    EXPECT_EQ(conv.params().size(), 1u);
+    gradcheck_layer(conv, rand_input({1, 2, 4, 4}));
+  });
 }
 
 TEST(Linear, ForwardKnownValues) {
-  Linear lin(2, 2);
-  lin.params()[0]->value = Tensor::from_data({2, 2}, {1, 2, 3, 4});
-  lin.params()[1]->value = Tensor::from_data({2}, {10, 20});
-  Tensor y = lin.forward(Tensor::from_data({1, 2}, {1, 1}), false);
-  EXPECT_EQ(y.at(0, 0), 13.0f);  // 1+2+10
-  EXPECT_EQ(y.at(0, 1), 27.0f);  // 3+4+20
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Linear lin(2, 2);
+    lin.params()[0]->value = Tensor::from_data({2, 2}, {1, 2, 3, 4});
+    lin.params()[1]->value = Tensor::from_data({2}, {10, 20});
+    Tensor y = lin.forward(Tensor::from_data({1, 2}, {1, 1}), false);
+    EXPECT_EQ(y.at(0, 0), 13.0f);  // 1+2+10
+    EXPECT_EQ(y.at(0, 1), 27.0f);  // 3+4+20
+  });
 }
 
 TEST(Linear, Gradcheck) {
-  Linear lin(6, 4);
-  rand_params(lin);
-  gradcheck_layer(lin, rand_input({3, 6}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Linear lin(6, 4);
+    rand_params(lin);
+    gradcheck_layer(lin, rand_input({3, 6}));
+  });
 }
 
 TEST(Linear, RejectsWrongWidth) {

@@ -9,41 +9,50 @@
 #include "models/factory.h"
 #include "nn/init.h"
 #include "nn/norm.h"
+#include "test_util.h"
 
 namespace ber {
 namespace {
 
+using test::Mode;
+using test::for_each_mode;
+using test::kBackendModes;
+
 TEST(Models, SimpleNetForwardShape) {
-  ModelConfig mc;
-  auto model = build_model(mc);
-  Rng rng(1);
-  he_init(*model, rng);
-  Tensor y = model->forward(Tensor::randn({2, 3, 12, 12}, rng), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{2, 10}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    auto model = build_model(mc);
+    Rng rng(1);
+    he_init(*model, rng);
+    Tensor y = model->forward(Tensor::randn({2, 3, 12, 12}, rng), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{2, 10}));
+  });
 }
 
 // A clone carries no backward cache: backward on it reports the missing
 // forward pass, while its inference output equals the original's.
 TEST(Models, CloneAfterTrainingForwardDropsBackwardCaches) {
-  ModelConfig mc;
-  auto model = build_model(mc);
-  Rng rng(3);
-  he_init(*model, rng);
-  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
-  const Tensor y_train = model->forward(x, true);
-  Sequential clone(*model);
-  try {
-    clone.backward(Tensor::full(y_train.shape(), 0.1f));
-    ADD_FAILURE() << "backward on a clone must throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("no cached forward pass"),
-              std::string::npos)
-        << e.what();
-  }
-  const Tensor y = model->forward(x, false);
-  const Tensor y_clone = clone.forward(x, false);
-  ASSERT_EQ(y.shape(), y_clone.shape());
-  for (long i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], y_clone[i]);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    auto model = build_model(mc);
+    Rng rng(3);
+    he_init(*model, rng);
+    const Tensor x = Tensor::randn({2, 3, 12, 12}, rng);
+    const Tensor y_train = model->forward(x, true);
+    Sequential clone(*model);
+    try {
+      clone.backward(Tensor::full(y_train.shape(), 0.1f));
+      ADD_FAILURE() << "backward on a clone must throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("no cached forward pass"),
+                std::string::npos)
+          << e.what();
+    }
+    const Tensor y = model->forward(x, false);
+    const Tensor y_clone = clone.forward(x, false);
+    ASSERT_EQ(y.shape(), y_clone.shape());
+    for (long i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], y_clone[i]);
+  });
 }
 
 TEST(Models, SimpleNetRejectsBadImageSize) {
@@ -53,24 +62,28 @@ TEST(Models, SimpleNetRejectsBadImageSize) {
 }
 
 TEST(Models, ResNetForwardShape) {
-  ModelConfig mc;
-  mc.arch = Arch::kResNetSmall;
-  auto model = build_model(mc);
-  Rng rng(2);
-  he_init(*model, rng);
-  Tensor y = model->forward(Tensor::randn({2, 3, 12, 12}, rng), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{2, 10}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    mc.arch = Arch::kResNetSmall;
+    auto model = build_model(mc);
+    Rng rng(2);
+    he_init(*model, rng);
+    Tensor y = model->forward(Tensor::randn({2, 3, 12, 12}, rng), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{2, 10}));
+  });
 }
 
 TEST(Models, MlpForwardShape) {
-  ModelConfig mc;
-  mc.arch = Arch::kMlp;
-  mc.in_channels = 1;
-  auto model = build_model(mc);
-  Rng rng(3);
-  he_init(*model, rng);
-  Tensor y = model->forward(Tensor::randn({4, 1, 12, 12}, rng), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{4, 10}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    mc.arch = Arch::kMlp;
+    mc.in_channels = 1;
+    auto model = build_model(mc);
+    Rng rng(3);
+    he_init(*model, rng);
+    Tensor y = model->forward(Tensor::randn({4, 1, 12, 12}, rng), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{4, 10}));
+  });
 }
 
 TEST(Models, WeightCountsScaleWithWidth) {
@@ -118,23 +131,27 @@ TEST(Models, SignaturesDistinguishArchitectures) {
 }
 
 TEST(Models, GrayscaleInput) {
-  ModelConfig mc;
-  mc.in_channels = 1;
-  auto model = build_model(mc);
-  Rng rng(4);
-  he_init(*model, rng);
-  Tensor y = model->forward(Tensor::randn({1, 1, 12, 12}, rng), false);
-  EXPECT_EQ(y.shape(), (std::vector<long>{1, 10}));
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    mc.in_channels = 1;
+    auto model = build_model(mc);
+    Rng rng(4);
+    he_init(*model, rng);
+    Tensor y = model->forward(Tensor::randn({1, 1, 12, 12}, rng), false);
+    EXPECT_EQ(y.shape(), (std::vector<long>{1, 10}));
+  });
 }
 
 TEST(Models, TwentyClassHead) {
-  ModelConfig mc;
-  mc.num_classes = 20;
-  auto model = build_model(mc);
-  Rng rng(5);
-  he_init(*model, rng);
-  Tensor y = model->forward(Tensor::randn({1, 3, 12, 12}, rng), false);
-  EXPECT_EQ(y.shape(1), 20);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    ModelConfig mc;
+    mc.num_classes = 20;
+    auto model = build_model(mc);
+    Rng rng(5);
+    he_init(*model, rng);
+    Tensor y = model->forward(Tensor::randn({1, 3, 12, 12}, rng), false);
+    EXPECT_EQ(y.shape(1), 20);
+  });
 }
 
 }  // namespace

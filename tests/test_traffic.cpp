@@ -21,10 +21,15 @@
 #include "serve/planner.h"
 #include "serve/replica_pool.h"
 #include "serve/traffic_gen.h"
+#include "test_util.h"
 #include "train/trainer.h"
 
 namespace ber {
 namespace {
+
+using test::Mode;
+using test::for_each_mode;
+using test::kAllModes;
 
 // ------------------------------------------------- schedule determinism ---
 
@@ -155,20 +160,25 @@ TEST(ArrivalSchedule, BurstyKeepsMeanButConcentrates) {
 
 // ------------------------------------------- generator over a real pool ---
 
-// One briefly RandBET-trained MLP shared by the pool tests (same pattern as
-// tests/test_serve.cpp).
+// One briefly RandBET-trained MLP per backend shared by the pool tests
+// (same pattern as tests/test_serve.cpp).
 struct Served {
   Dataset train_set, test_set;
   std::unique_ptr<Sequential> model;
   QuantScheme scheme = QuantScheme::rquant(8);
 
-  static Served& instance() {
-    static Served s;
-    return s;
+  // The MLP trained on `backend` (both are trained lazily, once).
+  static Served& instance(const std::string& backend) {
+    if (backend == "blocked") {
+      static Served blocked("blocked");
+      return blocked;
+    }
+    static Served reference("reference");
+    return reference;
   }
 
  private:
-  Served() {
+  explicit Served(const char* backend) {
     auto cfg = SyntheticConfig::mnist();
     cfg.n_train = 400;
     cfg.n_test = 160;
@@ -191,11 +201,13 @@ struct Served {
     tc.augment.max_shift = 1;
     tc.augment.cutout = 0;
     tc.augment.noise_std = 0.0f;
+    const kernels::ScopedBackend scoped(backend);
     train(*model, train_set, test_set, tc);
   }
 };
 
-std::vector<Replica> small_fleet(OperatingPointPlanner& planner,
+std::vector<Replica> small_fleet(const Served& s,
+                                 OperatingPointPlanner& planner,
                                  const RandomBitErrorModel& fault,
                                  const OperatingPointPlan& plan, int n) {
   auto base = std::make_shared<NetSnapshot>(planner.evaluator().snapshot());
@@ -203,106 +215,113 @@ std::vector<Replica> small_fleet(OperatingPointPlanner& planner,
   std::vector<Replica> fleet;
   fleet.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    fleet.emplace_back(r, *Served::instance().model, quantizer, base,
+    fleet.emplace_back(r, *s.model, quantizer, base,
                        fault.fault_list(*base, /*trial=*/0,
                                         plan.grid.back().rate),
-                       plan.voltages(), plan.rates(), plan.chosen);
+                       plan.voltages(), plan.rates(), plan.chosen,
+                       planner.compute_on_codes());
   }
   return fleet;
 }
 
-OperatingPointPlan tiny_plan(OperatingPointPlanner& planner,
+OperatingPointPlan tiny_plan(const Served& s, OperatingPointPlanner& planner,
                              const RandomBitErrorModel& fault) {
   SloConfig slo;
   slo.max_rerr = 1.0;
-  return planner.plan(fault, Served::instance().test_set, {1.0, 0.9}, slo,
+  return planner.plan(fault, s.test_set, {1.0, 0.9}, slo,
                       /*n_chips=*/1, /*batch=*/80);
 }
 
 TEST(TrafficGenerator, OpenLoopAccountingAndTimeline) {
-  Served& s = Served::instance();
-  OperatingPointPlanner planner(*s.model, s.scheme);
-  RandomBitErrorModel fault({0.001});
-  const OperatingPointPlan plan = tiny_plan(planner, fault);
-  ReplicaPool pool(small_fleet(planner, fault, plan, 2),
-                   {/*max_batch=*/16, /*max_wait_us=*/200,
-                    /*max_queue_images=*/256});
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Served& s = Served::instance(mode.backend);
+    OperatingPointPlanner planner(*s.model, s.scheme);
+    planner.set_compute_on_codes(mode.on_codes);
+    RandomBitErrorModel fault({0.001});
+    const OperatingPointPlan plan = tiny_plan(s, planner, fault);
+    ReplicaPool pool(small_fleet(s, planner, fault, plan, 2),
+                     {/*max_batch=*/16, /*max_wait_us=*/200,
+                      /*max_queue_images=*/256});
 
-  TrafficConfig cfg;
-  cfg.seed = 5;
-  cfg.window_ms = 100;
-  cfg.slo.latency_us = 200000.0;
-  cfg.slo.attainment = 0.9;
-  cfg.phases.push_back(poisson_phase(120.0, 0.4));
-  ArrivalPhase bursty;
-  bursty.process = "bursty";
-  bursty.rate_rps = 120.0;
-  bursty.duration_s = 0.4;
-  bursty.mean_on_s = 0.05;
-  bursty.mean_off_s = 0.05;
-  cfg.phases.push_back(bursty);
+    TrafficConfig cfg;
+    cfg.seed = 5;
+    cfg.window_ms = 100;
+    cfg.slo.latency_us = 200000.0;
+    cfg.slo.attainment = 0.9;
+    cfg.phases.push_back(poisson_phase(120.0, 0.4));
+    ArrivalPhase bursty;
+    bursty.process = "bursty";
+    bursty.rate_rps = 120.0;
+    bursty.duration_s = 0.4;
+    bursty.mean_on_s = 0.05;
+    bursty.mean_off_s = 0.05;
+    cfg.phases.push_back(bursty);
 
-  // The offered count is knowable up front: phase seeds come from one
-  // splitmix stream over cfg.seed.
-  Rng seeder(cfg.seed);
-  std::uint64_t expect_offered = 0;
-  for (const ArrivalPhase& p : cfg.phases) {
-    expect_offered += arrival_schedule(p, seeder.next_u64()).size();
-  }
+    // The offered count is knowable up front: phase seeds come from one
+    // splitmix stream over cfg.seed.
+    Rng seeder(cfg.seed);
+    std::uint64_t expect_offered = 0;
+    for (const ArrivalPhase& p : cfg.phases) {
+      expect_offered += arrival_schedule(p, seeder.next_u64()).size();
+    }
 
-  TrafficGenerator gen(pool, s.test_set, cfg);
-  const TrafficResult r = gen.run();
-  pool.drain();
+    TrafficGenerator gen(pool, s.test_set, cfg);
+    const TrafficResult r = gen.run();
+    pool.drain();
 
-  EXPECT_EQ(r.offered, expect_offered);
-  EXPECT_EQ(r.answered + r.shed, r.offered);  // no request unaccounted
-  EXPECT_GT(r.answered, 0u);
-  // Open loop: wall clock covers the schedule span up to the last arrival.
-  EXPECT_GE(r.duration_s, 0.35);
+    EXPECT_EQ(r.offered, expect_offered);
+    EXPECT_EQ(r.answered + r.shed, r.offered);  // no request unaccounted
+    EXPECT_GT(r.answered, 0u);
+    // Open loop: wall clock covers the schedule span up to the last arrival.
+    EXPECT_GE(r.duration_s, 0.35);
 
-  ASSERT_TRUE(r.timeline.is_object());
-  const Json& summary = r.timeline.at("summary");
-  EXPECT_EQ(static_cast<std::uint64_t>(summary.at("offered").as_int()),
-            r.offered);
-  EXPECT_EQ(static_cast<std::uint64_t>(summary.at("shed").as_int()), r.shed);
-  const Json& windows = r.timeline.at("windows");
-  // ~0.8s of load at 100ms windows plus the drain tail.
-  EXPECT_GE(windows.size(), 6u);
-  std::uint64_t win_offered = 0, win_completed = 0;
-  for (const Json& w : windows.items()) {
-    win_offered += static_cast<std::uint64_t>(w.at("offered").as_int());
-    win_completed += static_cast<std::uint64_t>(w.at("completed").as_int());
-  }
-  // Window columns tile the run exactly: no arrival or completion is
-  // double-counted across boundaries.
-  EXPECT_EQ(win_offered, r.offered);
-  EXPECT_EQ(win_completed, r.answered);
+    ASSERT_TRUE(r.timeline.is_object());
+    const Json& summary = r.timeline.at("summary");
+    EXPECT_EQ(static_cast<std::uint64_t>(summary.at("offered").as_int()),
+              r.offered);
+    EXPECT_EQ(static_cast<std::uint64_t>(summary.at("shed").as_int()), r.shed);
+    const Json& windows = r.timeline.at("windows");
+    // ~0.8s of load at 100ms windows plus the drain tail.
+    EXPECT_GE(windows.size(), 6u);
+    std::uint64_t win_offered = 0, win_completed = 0;
+    for (const Json& w : windows.items()) {
+      win_offered += static_cast<std::uint64_t>(w.at("offered").as_int());
+      win_completed += static_cast<std::uint64_t>(w.at("completed").as_int());
+    }
+    // Window columns tile the run exactly: no arrival or completion is
+    // double-counted across boundaries.
+    EXPECT_EQ(win_offered, r.offered);
+    EXPECT_EQ(win_completed, r.answered);
+  });
 }
 
 TEST(TrafficGenerator, ShedsOnAdmissionRejectionWithoutRetry) {
-  Served& s = Served::instance();
-  OperatingPointPlanner planner(*s.model, s.scheme);
-  RandomBitErrorModel fault({0.001});
-  const OperatingPointPlan plan = tiny_plan(planner, fault);
-  // A 1-image queue in front of 1 replica at 600 rps: most arrivals find
-  // the queue full. Open loop means they shed — no retries, no blocking.
-  ReplicaPool pool(small_fleet(planner, fault, plan, 1),
-                   {/*max_batch=*/1, /*max_wait_us=*/0,
-                    /*max_queue_images=*/1});
-  TrafficConfig cfg;
-  cfg.seed = 11;
-  cfg.window_ms = 100;
-  cfg.phases.push_back(poisson_phase(600.0, 0.3));
+  for_each_mode(kAllModes, [&](const Mode& mode) {
+    Served& s = Served::instance(mode.backend);
+    OperatingPointPlanner planner(*s.model, s.scheme);
+    planner.set_compute_on_codes(mode.on_codes);
+    RandomBitErrorModel fault({0.001});
+    const OperatingPointPlan plan = tiny_plan(s, planner, fault);
+    // A 1-image queue in front of 1 replica at 600 rps: most arrivals find
+    // the queue full. Open loop means they shed — no retries, no blocking.
+    ReplicaPool pool(small_fleet(s, planner, fault, plan, 1),
+                     {/*max_batch=*/1, /*max_wait_us=*/0,
+                      /*max_queue_images=*/1});
+    TrafficConfig cfg;
+    cfg.seed = 11;
+    cfg.window_ms = 100;
+    cfg.phases.push_back(poisson_phase(600.0, 0.3));
 
-  TrafficGenerator gen(pool, s.test_set, cfg);
-  const TrafficResult r = gen.run();
-  pool.drain();
+    TrafficGenerator gen(pool, s.test_set, cfg);
+    const TrafficResult r = gen.run();
+    pool.drain();
 
-  EXPECT_GT(r.shed, 0u);
-  EXPECT_EQ(r.answered + r.shed, r.offered);
-  // Shed arrivals poison the SLO verdict even if served latency was fine.
-  const Json& summary = r.timeline.at("summary");
-  EXPECT_FALSE(summary.at("slo_met").as_bool());
+    EXPECT_GT(r.shed, 0u);
+    EXPECT_EQ(r.answered + r.shed, r.offered);
+    // Shed arrivals poison the SLO verdict even if served latency was fine.
+    const Json& summary = r.timeline.at("summary");
+    EXPECT_FALSE(summary.at("slo_met").as_bool());
+  });
 }
 
 // ------------------------------------------------------- report diffing ---

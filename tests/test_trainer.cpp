@@ -17,6 +17,10 @@
 namespace ber {
 namespace {
 
+using test::Mode;
+using test::for_each_mode;
+using test::kBackendModes;
+
 // Tiny task fixture shared across trainer tests: small dataset, small MLP,
 // few epochs — fast but enough signal for loss to drop well below chance.
 struct Tiny {
@@ -48,43 +52,50 @@ struct Tiny {
 };
 
 TEST(Trainer, LossDecreases) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  const TrainStats stats = train(*model, t.train_set, t.test_set, t.base_train());
-  ASSERT_EQ(stats.epoch_loss.size(), 18u);
-  EXPECT_LT(stats.epoch_loss.back(), 0.6f * stats.epoch_loss.front());
-  EXPECT_LT(stats.final_test_err, 0.5f);  // well below 90% chance error
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    const TrainStats stats =
+        train(*model, t.train_set, t.test_set, t.base_train());
+    ASSERT_EQ(stats.epoch_loss.size(), 18u);
+    EXPECT_LT(stats.epoch_loss.back(), 0.6f * stats.epoch_loss.front());
+    EXPECT_LT(stats.final_test_err, 0.5f);  // well below 90% chance error
+  });
 }
 
 TEST(Trainer, DeterministicForSeed) {
-  Tiny t;
-  auto m1 = build_model(t.model_cfg);
-  auto m2 = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.epochs = 3;
-  const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
-  const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
-  EXPECT_EQ(s1.epoch_loss, s2.epoch_loss);
-  EXPECT_EQ(s1.final_test_err, s2.final_test_err);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto m1 = build_model(t.model_cfg);
+    auto m2 = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.epochs = 3;
+    const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
+    const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
+    EXPECT_EQ(s1.epoch_loss, s2.epoch_loss);
+    EXPECT_EQ(s1.final_test_err, s2.final_test_err);
+  });
 }
 
 // data.batches_produced counts one gathered batch per step (the CI shard
 // gate and the benchmark's per-layer read rely on it), the last batch of an
 // epoch being the short remainder; batch_size < 1 is rejected up front.
 TEST(Trainer, CountsGatheredBatchesAndRejectsEmptyBatches) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.epochs = 2;
-  tc.batch_size = 40;  // 300 records: 7 full batches + one of 20
-  obs::Counter& batches = obs::registry().counter("data.batches_produced");
-  const std::uint64_t before = batches.value();
-  train(*model, t.train_set, t.test_set, tc);
-  EXPECT_EQ(batches.value() - before, 16u);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.epochs = 2;
+    tc.batch_size = 40;  // 300 records: 7 full batches + one of 20
+    obs::Counter& batches = obs::registry().counter("data.batches_produced");
+    const std::uint64_t before = batches.value();
+    train(*model, t.train_set, t.test_set, tc);
+    EXPECT_EQ(batches.value() - before, 16u);
 
-  tc.batch_size = 0;
-  EXPECT_THROW(train(*model, t.train_set, t.test_set, tc),
-               std::invalid_argument);
+    tc.batch_size = 0;
+    EXPECT_THROW(train(*model, t.train_set, t.test_set, tc),
+                 std::invalid_argument);
+  });
 }
 
 // Empty training or test sets are rejected before the first batch: an empty
@@ -104,27 +115,31 @@ TEST(Trainer, RejectsEmptyDatasetsUpFront) {
 }
 
 TEST(Trainer, SeedChangesTrajectory) {
-  Tiny t;
-  auto m1 = build_model(t.model_cfg);
-  auto m2 = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.epochs = 2;
-  const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
-  tc.seed = 77;
-  const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
-  EXPECT_NE(s1.epoch_loss, s2.epoch_loss);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto m1 = build_model(t.model_cfg);
+    auto m2 = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.epochs = 2;
+    const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
+    tc.seed = 77;
+    const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
+    EXPECT_NE(s1.epoch_loss, s2.epoch_loss);
+  });
 }
 
 TEST(Trainer, ClippingProjectionHolds) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.method = Method::kClipping;
-  tc.wmax = 0.1f;
-  train(*model, t.train_set, t.test_set, tc);
-  for (Param* p : model->params()) {
-    EXPECT_LE(p->value.abs_max(), 0.1f + 1e-6f) << p->name;
-  }
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.method = Method::kClipping;
+    tc.wmax = 0.1f;
+    train(*model, t.train_set, t.test_set, tc);
+    for (Param* p : model->params()) {
+      EXPECT_LE(p->value.abs_max(), 0.1f + 1e-6f) << p->name;
+    }
+  });
 }
 
 TEST(Trainer, ClipWeightsHelper) {
@@ -140,45 +155,51 @@ TEST(Trainer, ClipWeightsHelper) {
 }
 
 TEST(Trainer, RandBETActivatesAfterLossGate) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.method = Method::kRandBET;
-  tc.wmax = 0.3f;
-  tc.p_train = 0.005;
-  tc.bit_error_loss_threshold = 99.0f;  // open gate: activates after epoch 1
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  EXPECT_EQ(stats.bit_error_start_epoch, 1);
-  EXPECT_LT(stats.final_test_err, 0.6f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.method = Method::kRandBET;
+    tc.wmax = 0.3f;
+    tc.p_train = 0.005;
+    tc.bit_error_loss_threshold = 99.0f;  // open gate: activates after epoch 1
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    EXPECT_EQ(stats.bit_error_start_epoch, 1);
+    EXPECT_LT(stats.final_test_err, 0.6f);
+  });
 }
 
 TEST(Trainer, RandBETGateCanStayClosed) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.epochs = 1;
-  tc.method = Method::kRandBET;
-  tc.p_train = 0.01;
-  tc.bit_error_loss_threshold = 0.0f;  // never reached
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  EXPECT_EQ(stats.bit_error_start_epoch, -1);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.epochs = 1;
+    tc.method = Method::kRandBET;
+    tc.p_train = 0.01;
+    tc.bit_error_loss_threshold = 0.0f;  // never reached
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    EXPECT_EQ(stats.bit_error_start_epoch, -1);
+  });
 }
 
 TEST(Trainer, PattBETIsDeterministicInPattern) {
-  Tiny t;
-  TrainConfig tc = t.base_train();
-  tc.method = Method::kPattBET;
-  tc.p_train = 0.02;
-  tc.wmax = 0.3f;
-  tc.bit_error_loss_threshold = 99.0f;
-  tc.epochs = 6;
-  auto m1 = build_model(t.model_cfg);
-  auto m2 = build_model(t.model_cfg);
-  const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
-  tc.pattern_seed = 4242;  // different fixed pattern
-  const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
-  // Different fixed patterns change the trajectory once injection starts.
-  EXPECT_NE(s1.epoch_loss, s2.epoch_loss);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    TrainConfig tc = t.base_train();
+    tc.method = Method::kPattBET;
+    tc.p_train = 0.02;
+    tc.wmax = 0.3f;
+    tc.bit_error_loss_threshold = 99.0f;
+    tc.epochs = 6;
+    auto m1 = build_model(t.model_cfg);
+    auto m2 = build_model(t.model_cfg);
+    const TrainStats s1 = train(*m1, t.train_set, t.test_set, tc);
+    tc.pattern_seed = 4242;  // different fixed pattern
+    const TrainStats s2 = train(*m2, t.train_set, t.test_set, tc);
+    // Different fixed patterns change the trajectory once injection starts.
+    EXPECT_NE(s1.epoch_loss, s2.epoch_loss);
+  });
 }
 
 // RandBET's inner loop builds each epoch's ChipFaultList once and reapplies
@@ -290,61 +311,71 @@ TEST(Trainer, ConvRandBetTrajectoryPinned) {
 }
 
 TEST(Trainer, NonQuantAwarePath) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.quant_aware = false;
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  EXPECT_LT(stats.final_test_err, 0.5f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.quant_aware = false;
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    EXPECT_LT(stats.final_test_err, 0.5f);
+  });
 }
 
 TEST(Trainer, LabelSmoothingTrains) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.label_smoothing = 0.1f;
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  // Smoothed loss floor: -0.9 log 0.9 - 0.1 log(0.1/9) ~ 0.55.
-  EXPECT_GT(stats.epoch_loss.back(), 0.3f);
-  EXPECT_LT(stats.final_test_err, 0.5f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.label_smoothing = 0.1f;
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    // Smoothed loss floor: -0.9 log 0.9 - 0.1 log(0.1/9) ~ 0.55.
+    EXPECT_GT(stats.epoch_loss.back(), 0.3f);
+    EXPECT_LT(stats.final_test_err, 0.5f);
+  });
 }
 
 TEST(Trainer, CurricularVariantRuns) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.method = Method::kRandBET;
-  tc.curricular = true;
-  tc.wmax = 0.3f;
-  tc.p_train = 0.01;
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  EXPECT_LT(stats.final_test_err, 0.6f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.method = Method::kRandBET;
+    tc.curricular = true;
+    tc.wmax = 0.3f;
+    tc.p_train = 0.01;
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    EXPECT_LT(stats.final_test_err, 0.6f);
+  });
 }
 
 TEST(Trainer, AlternatingVariantRespectsClip) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.method = Method::kRandBET;
-  tc.alternating = true;
-  tc.wmax = 0.3f;
-  tc.p_train = 0.01;
-  tc.bit_error_loss_threshold = 99.0f;
-  train(*model, t.train_set, t.test_set, tc);
-  for (Param* p : model->params()) {
-    EXPECT_LE(p->value.abs_max(), 0.3f + 1e-6f);
-  }
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.method = Method::kRandBET;
+    tc.alternating = true;
+    tc.wmax = 0.3f;
+    tc.p_train = 0.01;
+    tc.bit_error_loss_threshold = 99.0f;
+    train(*model, t.train_set, t.test_set, tc);
+    for (Param* p : model->params()) {
+      EXPECT_LE(p->value.abs_max(), 0.3f + 1e-6f);
+    }
+  });
 }
 
 TEST(Trainer, LowPrecisionQuantAwareTrains) {
-  Tiny t;
-  auto model = build_model(t.model_cfg);
-  TrainConfig tc = t.base_train();
-  tc.quant = QuantScheme::rquant(4);
-  tc.method = Method::kClipping;
-  tc.wmax = 0.3f;
-  const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
-  EXPECT_LT(stats.final_test_err, 0.5f);
+  for_each_mode(kBackendModes, [&](const Mode&) {
+    Tiny t;
+    auto model = build_model(t.model_cfg);
+    TrainConfig tc = t.base_train();
+    tc.quant = QuantScheme::rquant(4);
+    tc.method = Method::kClipping;
+    tc.wmax = 0.3f;
+    const TrainStats stats = train(*model, t.train_set, t.test_set, tc);
+    EXPECT_LT(stats.final_test_err, 0.5f);
+  });
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Shared test helpers: finite-difference gradient checking and tiny fixtures.
+// Shared test helpers: execution modes, finite-difference gradient checking
+// and tiny fixtures.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,11 +16,61 @@
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "faults/evaluator.h"
+#include "kernels/backend.h"
 #include "nn/layer.h"
 #include "nn/sequential.h"
 #include "tensor/tensor.h"
 
 namespace ber::test {
+
+// ------------------------------------------------------ execution modes ---
+
+// How a test computes: the compute backend, and whether code-space deploys
+// run on the stored code words (the int8 datapath) instead of float
+// evaluation of the dequantized weights. The library has no ambient mode —
+// a test that depends on one names it.
+struct Mode {
+  const char* backend;
+  bool on_codes;
+  std::string name() const {
+    return std::string(backend) + (on_codes ? "_codes" : "");
+  }
+};
+
+inline constexpr Mode kReference{"reference", false};
+inline constexpr Mode kBlocked{"blocked", false};
+inline constexpr Mode kBlockedCodes{"blocked", true};
+
+// Both backends, float deployment: tests that never deploy code words.
+inline const std::vector<Mode> kBackendModes{kReference, kBlocked};
+// Plus the int8 datapath: tests whose code-space deploys take the mode.
+inline const std::vector<Mode> kAllModes{kReference, kBlocked, kBlockedCodes};
+
+inline std::string mode_name(const ::testing::TestParamInfo<Mode>& info) {
+  return info.param.name();
+}
+
+// Runs fn(mode) once per mode, with the mode's backend scoped on this
+// thread (the evaluator and the serving pool carry it onto their workers)
+// and the mode's name on every failure. fn passes mode.on_codes on itself:
+// set_compute_on_codes, deploy_snapshot, a Replica argument or a spec.
+template <class Fn>
+void for_each_mode(const std::vector<Mode>& modes, Fn&& fn) {
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name());
+    const kernels::ScopedBackend backend(mode.backend);
+    fn(mode);
+  }
+}
+
+// A code-space evaluator of `model` that deploys its trials as `mode` says.
+inline RobustnessEvaluator evaluator_in(const Mode& mode, Sequential& model,
+                                        const QuantScheme& scheme) {
+  RobustnessEvaluator evaluator(model, scheme);
+  evaluator.set_compute_on_codes(mode.on_codes);
+  return evaluator;
+}
 
 // Runs fn once on each of `participants` distinct threads of one
 // parallel_for call (the caller plus pool workers): every chunk waits until
